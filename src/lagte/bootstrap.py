@@ -17,6 +17,7 @@ midpoints.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
@@ -204,19 +205,22 @@ def sample_bootstrap_series(
     cum_pi[-1] = 1.0
     cum_rows = np.cumsum(model.p_hat, axis=1)
     cum_rows[:, -1] = 1.0
-    uniforms = rng.random(length)
-    states = np.empty(length, dtype=np.int64)
+    # the walk is inherently sequential; bisect on Python lists costs a
+    # fraction of a per-step np.searchsorted call and compares the same doubles
+    cum_pi = cum_pi.tolist()
+    unreachable = model.unreachable.tolist()
+    tables = [
+        cum_pi if dead else row for dead, row in zip(unreachable, cum_rows.tolist())
+    ]
+    uniforms = rng.random(length).tolist()
+    path = [bisect_right(cum_pi, uniforms[0])]
     restarts = 0
-    state = int(np.searchsorted(cum_pi, uniforms[0], side="right"))
-    states[0] = state
-    for t in range(1, length):
-        if model.unreachable[state]:
-            restarts += 1
-            row = cum_pi
-        else:
-            row = cum_rows[state]
-        state = int(np.searchsorted(row, uniforms[t], side="right"))
-        states[t] = state
+    state = path[0]
+    for x in uniforms[1:]:
+        restarts += unreachable[state]
+        state = bisect_right(tables[state], x)
+        path.append(state)
+    states = np.array(path, dtype=np.int64)
 
     residual = np.empty(length)
     for s in range(model.n_states):

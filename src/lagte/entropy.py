@@ -19,6 +19,13 @@ the surrogate approach: shuffling the source series destroys its temporal
 structure while preserving its marginal distribution, so the average
 transfer entropy over shuffled sources estimates the bias floor, and the
 effective transfer entropy is the raw value minus that floor.
+
+A lag scan is one fused computation.  The source and all its surrogates at
+every candidate lag become rows of a single ``(lags, shuffles + 1, L)``
+integer code array, each row offset into its own block of count bins, so
+one ``bincount`` histograms every triple and one vectorized pass turns the
+count tensors into transfer entropies.  ``transfer_entropy`` and
+``effective_transfer_entropy`` are the one-lag cases of the same scan.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import InvalidArgumentError, PipelineConfig
 from .preprocess import SymbolSeries
@@ -131,13 +139,24 @@ def _as_codes(series: SymbolsLike, name: str) -> np.ndarray:
     return codes.astype(np.int64)
 
 
-def _check_lag(length: int, u: int) -> None:
-    if u < 1:
-        raise InvalidArgumentError(f"lag must be >= 1: got {u}")
-    if u > length - 2:
+def _symbol_pair(
+    source: SymbolsLike, target: SymbolsLike, u_max: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Dense codes of a same-length source/target pair valid up to lag ``u_max``."""
+    src = _as_codes(source, "source")
+    tgt = _as_codes(target, "target")
+    if src.size != tgt.size:
         raise InvalidArgumentError(
-            f"lag {u} needs series longer than {u + 1}: got length {length}"
+            f"source and target lengths differ: {src.size} != {tgt.size}"
         )
+    length = tgt.size
+    if u_max < 1:
+        raise InvalidArgumentError(f"lag must be >= 1: got {u_max}")
+    if u_max > length - 2:
+        raise InvalidArgumentError(
+            f"lag {u_max} needs series longer than {u_max + 1}: got length {length}"
+        )
+    return src, tgt
 
 
 def _te_from_counts(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
@@ -152,13 +171,13 @@ def _te_from_counts(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
     d_ab = c.sum(axis=3)  # joint of (i_t, i_{t-1})
     m_bc = c.sum(axis=1)  # joint of (i_{t-1}, j_{t-u})
     e_b = m_bc.sum(axis=2)  # marginal of i_{t-1}
-    num = c * e_b[:, None, :, None]
-    den = m_bc[:, None, :, :] * d_ab[:, :, :, None]
     mask = c > 0.0
-    ratio = np.ones_like(c)
-    np.divide(num, den, out=ratio, where=mask)
-    terms = np.zeros_like(c)
-    np.multiply(c, np.log2(ratio, where=mask, out=np.zeros_like(c)), out=terms)
+    # c * log2(num / den) on the support, built in one buffer; off the
+    # support c and num are 0, so the terms stay 0
+    terms = c * e_b[:, None, :, None]
+    np.divide(terms, m_bc[:, None, :, :] * d_ab[:, :, :, None], out=terms, where=mask)
+    np.log2(terms, out=terms, where=mask)
+    terms *= c
     te = terms.sum(axis=(1, 2, 3)) / totals
     bad = te < -_NEG_TOL
     if np.any(bad):
@@ -166,22 +185,61 @@ def _te_from_counts(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
     return np.maximum(te, 0.0)
 
 
-def _count_triples(
-    i1: np.ndarray, i0: np.ndarray, j_rows: np.ndarray, n_t: int, n_s: int
+def _lag_counts(
+    src: np.ndarray, tgt: np.ndarray, lags: np.ndarray, shuffles: int, rng
 ) -> np.ndarray:
-    """Histogram (i_t, i_{t-1}, j_{t-u}) triples for each row of sources.
+    """Triple counts of the source and of ``shuffles`` surrogates at every lag.
 
-    ``j_rows`` has shape (batch, N) holding one aligned source slice per
-    surrogate; the target slices are shared across the batch.  Returns a
-    (batch, n_t, n_t, n_s) count tensor built from a single ``bincount``
-    over offset-combined codes.
+    Returns shape ``(len(lags) * (shuffles + 1), n_t, n_t, n_s)``, lag-major;
+    within a lag the source itself comes first, then its permutations,
+    drawn lag by lag and surrogate by surrogate from ``rng`` (the same
+    stream as one ``rng.permutation`` call each).  All rows share one
+    ``(lags, shuffles + 1, L)`` code array and one ``bincount``.  Each row
+    owns a slab of ``n_t * n_t + 1`` target pairs by ``n_s`` source
+    symbols; the extra pair collects the positions past the aligned range
+    ``L - u`` and is dropped.
     """
-    batch = j_rows.shape[0]
-    cell = n_t * n_t * n_s
-    combined = (i1 * n_t + i0) * n_s + j_rows
-    combined += (np.arange(batch) * cell)[:, None]
-    flat = np.bincount(combined.ravel(), minlength=batch * cell)
-    return flat.reshape(batch, n_t, n_t, n_s)
+    length = tgt.size
+    n_t = int(tgt.max()) + 1
+    n_s = int(src.max()) + 1
+    n_pairs = n_t * n_t
+    slab = (n_pairs + 1) * n_s
+    reps = shuffles + 1
+
+    codes = np.empty((lags.size, reps, length), dtype=np.intp)
+    codes[:] = src
+    if shuffles:
+        surrogates = codes[:, 1:]
+        rng.permuted(surrogates, axis=2, out=surrogates)
+    # the target pair (i_t, i_{t-1}) aligned with source position p at lag
+    # u is pairs[p + u - 1]; the padding covers p >= L - u
+    pairs = np.concatenate(
+        (tgt[1:] * n_t + tgt[:-1], np.full(length, n_pairs, dtype=np.intp))
+    )
+    aligned = sliding_window_view(pairs, length)[lags - 1]
+    aligned *= n_s
+    aligned += (np.arange(lags.size) * (reps * slab))[:, None]
+    codes += aligned[:, None, :]
+    codes += (np.arange(reps) * slab)[:, None]
+    rows = lags.size * reps
+    counts = np.bincount(codes.ravel(), minlength=rows * slab)
+    counts = counts.reshape(rows, n_pairs + 1, n_s)[:, :n_pairs]
+    return counts.reshape(rows, n_t, n_t, n_s)
+
+
+def _scan_lags(
+    src: np.ndarray, tgt: np.ndarray, lags: np.ndarray, shuffles: int, rng
+) -> np.ndarray:
+    """Transfer entropy of the source and of ``shuffles`` surrogates at every lag.
+
+    Returns shape ``(len(lags), shuffles + 1)``; column 0 is the source
+    itself, the rest are its surrogates (see ``_lag_counts``).  Counting
+    is a separate call so that the code array is freed before the TE
+    temporaries are allocated, which keeps the peak memory down.
+    """
+    counts = _lag_counts(src, tgt, lags, shuffles, rng)
+    totals = np.repeat((tgt.size - lags).astype(float), shuffles + 1)
+    return _te_from_counts(counts, totals).reshape(lags.size, shuffles + 1)
 
 
 def transfer_entropy(source: SymbolsLike, target: SymbolsLike, u: int) -> float:
@@ -205,22 +263,8 @@ def transfer_entropy(source: SymbolsLike, target: SymbolsLike, u: int) -> float:
     float
         Nonnegative transfer entropy in bits.
     """
-    src = _as_codes(source, "source")
-    tgt = _as_codes(target, "target")
-    if src.size != tgt.size:
-        raise InvalidArgumentError(
-            f"source and target lengths differ: {src.size} != {tgt.size}"
-        )
-    length = tgt.size
-    _check_lag(length, u)
-    n_t = int(tgt.max()) + 1
-    n_s = int(src.max()) + 1
-    i1 = tgt[u:]
-    i0 = tgt[u - 1 : length - 1]
-    j = src[: length - u][None, :]
-    counts = _count_triples(i1, i0, j, n_t, n_s)
-    totals = np.array([float(length - u)])
-    return float(_te_from_counts(counts, totals)[0])
+    src, tgt = _symbol_pair(source, target, u)
+    return float(_scan_lags(src, tgt, np.array([u]), 0, None)[0, 0])
 
 
 def effective_transfer_entropy(
@@ -256,34 +300,10 @@ def effective_transfer_entropy(
         raise InvalidArgumentError(f"shuffles must be >= 1: got {shuffles}")
     if rng is None:
         raise InvalidArgumentError("an explicit rng is required")
-    src = _as_codes(source, "source")
-    tgt = _as_codes(target, "target")
-    if src.size != tgt.size:
-        raise InvalidArgumentError(
-            f"source and target lengths differ: {src.size} != {tgt.size}"
-        )
-    length = tgt.size
-    _check_lag(length, u)
-    te, shuffle_mean = _ete_single_lag(src, tgt, u, shuffles, rng)
+    src, tgt = _symbol_pair(source, target, u)
+    scan = _scan_lags(src, tgt, np.array([u]), shuffles, rng)
+    te, shuffle_mean = float(scan[0, 0]), float(scan[0, 1:].mean())
     return te - shuffle_mean, te, shuffle_mean
-
-
-def _ete_single_lag(
-    src: np.ndarray, tgt: np.ndarray, u: int, shuffles: int, rng
-) -> Tuple[float, float]:
-    length = tgt.size
-    n_t = int(tgt.max()) + 1
-    n_s = int(src.max()) + 1
-    i1 = tgt[u:]
-    i0 = tgt[u - 1 : length - 1]
-    n = length - u
-    rows = np.empty((shuffles + 1, n), dtype=np.int64)
-    rows[0] = src[:n]
-    for s in range(shuffles):
-        rows[s + 1] = rng.permutation(src)[:n]
-    counts = _count_triples(i1, i0, rows, n_t, n_s)
-    te_all = _te_from_counts(counts, np.full(shuffles + 1, float(n)))
-    return float(te_all[0]), float(te_all[1:].mean())
 
 
 def best_lag(
@@ -302,24 +322,15 @@ def best_lag(
     (u_hat, profile) : tuple
         The winning lag and the full per-lag profile behind the choice.
     """
-    src = _as_codes(source, "source")
-    tgt = _as_codes(target, "target")
-    if src.size != tgt.size:
-        raise InvalidArgumentError(
-            f"source and target lengths differ: {src.size} != {tgt.size}"
-        )
-    _check_lag(tgt.size, config.lag_max)
-    lags = range(config.lag_min, config.lag_max + 1)
-    te_list, ete_list, shuf_list = [], [], []
-    for u in lags:
-        te, shuffle_mean = _ete_single_lag(src, tgt, u, config.shuffle_reps, rng)
-        te_list.append(te)
-        shuf_list.append(shuffle_mean)
-        ete_list.append(te - shuffle_mean)
+    src, tgt = _symbol_pair(source, target, config.lag_max)
+    lags = np.arange(config.lag_min, config.lag_max + 1)
+    scan = _scan_lags(src, tgt, lags, config.shuffle_reps, rng)
+    te = scan[:, 0]
+    shuffle_mean = scan[:, 1:].mean(axis=1)
     profile = LagTEProfile(
-        lags=tuple(lags),
-        te=tuple(te_list),
-        ete=tuple(ete_list),
-        shuffle_mean=tuple(shuf_list),
+        lags=tuple(lags.tolist()),
+        te=tuple(te.tolist()),
+        ete=tuple((te - shuffle_mean).tolist()),
+        shuffle_mean=tuple(shuffle_mean.tolist()),
     )
     return profile.best(), profile

@@ -21,6 +21,15 @@ Window-local statistics use the *forefront window*: the ``w`` most recent
 samples ending at the current step.  Near the start of a series, where fewer
 than ``w`` samples exist, all available samples are used instead of
 truncating the warm-up region.
+
+All windows of a series are taken at once from one ``(L, W)`` *window
+matrix*: row ``t`` holds the window ending at ``t``, left-padded while the
+warm-up lasts (``W = min(w, L)``, or ``L`` for ``"full"``).  ``nonlinear``
+sorts the ``+inf``-padded rows and reads its quartiles with numpy's linear
+percentile rule; ``minmax`` takes the row maxima of the ``-inf``-padded
+rows.  Both equal the per-step computation bit for bit.  ``zscore`` keeps a
+per-step loop, since a padded mean or standard deviation would sum in
+another order.
 """
 
 from __future__ import annotations
@@ -30,19 +39,21 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import ndtr
 
 from .core import FULL_WINDOW, InvalidArgumentError, NORM_METHODS, SpeedSeries
 
 _CDF_FLOOR = np.nextafter(0.0, 1.0)
 _CDF_CEIL = np.nextafter(1.0, 0.0)
+_QUARTILES = np.array([0.25, 0.5, 0.75])
+# Window-matrix rows are sorted in blocks of at most this many elements.
+_BLOCK_ELEMS = 1 << 17
 
 __all__ = [
     "Decomposition",
-    "WindowStats",
     "SymbolSeries",
     "decompose",
-    "window_percentiles",
     "normalize",
     "encode",
     "encode_fixed",
@@ -87,25 +98,6 @@ class Decomposition:
         # err + residual_low is tiny against ulp(s), so the outer sum rounds
         # to the exact total
         return s + (err + self.residual_low)
-
-
-@dataclass(frozen=True)
-class WindowStats:
-    """The 25th/50th/75th percentiles of a forefront window."""
-
-    f25: float
-    f50: float
-    f75: float
-
-    def __post_init__(self):
-        if not (self.f25 <= self.f50 <= self.f75):
-            raise InvalidArgumentError(
-                f"percentiles must be ordered: {self.f25}, {self.f50}, {self.f75}"
-            )
-
-    @property
-    def iqr(self) -> float:
-        return self.f75 - self.f25
 
 
 @dataclass(frozen=True)
@@ -170,26 +162,57 @@ def decompose(series: Union[SpeedSeries, Sequence[float]], m: int) -> Decomposit
     )
 
 
-def window_percentiles(prefix: Sequence[float], t: int, w: int) -> WindowStats:
-    """Percentiles of the forefront window ending at index ``t`` (0-based, inclusive).
+def _window_width(w: Union[int, str], l: int) -> int:
+    return l if w == FULL_WINDOW else min(w, l)
 
-    The window covers the last ``min(t + 1, w)`` samples of ``prefix`` up to
-    and including position ``t``; at ``t = 0`` it degenerates to the single
-    first sample.  Percentiles interpolate linearly between the closest order
-    statistics.
+
+def _window_blocks(values: np.ndarray, w: Union[int, str], fill: float):
+    """Yield ``(lo, block)``: rows ``lo, lo+1, ...`` of the forefront-window matrix.
+
+    Row ``t`` of the ``(L, W)`` matrix holds the window ending at ``t``,
+    left-padded with ``fill`` while fewer than ``W`` samples exist.  The
+    rows come in blocks of at most ``_BLOCK_ELEMS`` elements so that a
+    ``"full"`` window over a long series never materializes all ``L * L``.
     """
-    values = np.asarray(prefix, dtype=float)
-    if t < 0 or t >= values.size:
-        raise InvalidArgumentError(f"index {t} out of range for length {values.size}")
-    if w != FULL_WINDOW and w < 1:
-        raise InvalidArgumentError(f"window must be >= 1 or {FULL_WINDOW!r}: got {w}")
-    lo = 0 if w == FULL_WINDOW else max(0, t - w + 1)
-    f25, f50, f75 = np.percentile(values[lo : t + 1], [25.0, 50.0, 75.0])
-    return WindowStats(f25=float(f25), f50=float(f50), f75=float(f75))
+    width = _window_width(w, values.size)
+    padded = np.concatenate((np.full(width - 1, fill), values))
+    rows = sliding_window_view(padded, width)
+    step = max(1, _BLOCK_ELEMS // width)
+    for lo in range(0, values.size, step):
+        yield lo, rows[lo : lo + step]
 
 
-def _window_bounds(l: int, t: int, w: Union[int, str]) -> int:
-    return 0 if w == FULL_WINDOW else max(0, t - w + 1)
+def _window_quartiles(values: np.ndarray, w: Union[int, str]) -> np.ndarray:
+    """25th/50th/75th percentiles of every forefront window, shape ``(3, L)``.
+
+    Bit-identical to ``np.percentile(window, [25, 50, 75])`` per step: the
+    windows are sorted as ``+inf``-padded rows, so the ``n`` real samples
+    lead each row, and numpy's linear method is applied by hand.  Its
+    virtual index ``(n - 1) * q`` splits into a floor index and a weight
+    ``g``; the next index is clamped to ``n - 1``; and the interpolation
+    switches to ``b - (b - a) * (1 - g)`` for ``g >= 0.5``.  A one-sample
+    window falls on numpy's above-the-last-index rule, which reads it with
+    ``g = 1``.
+    """
+    l = values.size
+    n = np.minimum(np.arange(1, l + 1), _window_width(w, l))
+    virtual = (n - 1) * _QUARTILES[:, None]
+    prev = virtual.astype(np.intp)
+    nxt = np.minimum(prev + 1, n - 1)
+    g = virtual - prev
+    g[:, n == 1] = 1.0
+    a = np.empty((3, l))
+    b = np.empty((3, l))
+    for lo, block in _window_blocks(values, w, np.inf):
+        block = np.sort(block, axis=1)
+        cols = slice(lo, lo + block.shape[0])
+        rows = np.arange(block.shape[0])
+        a[:, cols] = block[rows, prev[:, cols]]
+        b[:, cols] = block[rows, nxt[:, cols]]
+    diff = b - a
+    out = a + diff * g
+    np.subtract(b, diff * (1 - g), out=out, where=g >= 0.5)
+    return out
 
 
 def normalize(
@@ -201,7 +224,7 @@ def normalize(
 
     For each step ``t`` the statistics are taken over the forefront window of
     size ``w`` ending at ``t`` (the whole prefix when fewer samples exist,
-    the whole series when ``w`` is ``"full"``):
+    or when ``w`` is ``"full"``):
 
     - ``nonlinear``: standard normal CDF of ``0.5 * (x - median) / IQR``.
       Output lies strictly inside (0, 1).  A degenerate window with zero IQR
@@ -211,6 +234,8 @@ def normalize(
     - ``zscore``: ``(x - mean(window)) / std(window)``, population standard
       deviation.  Zero dispersion gives 0.
     - ``none``: the series unchanged.
+
+    ``nonlinear`` rejects a series containing NaN with ``InvalidArgumentError``.
 
     Returns
     -------
@@ -231,25 +256,31 @@ def normalize(
         return values.copy()
 
     l = values.size
-    out = np.empty(l)
+    out = np.zeros(l)
     if method == "nonlinear":
-        for t in range(l):
-            lo = _window_bounds(l, t, w)
-            f25, f50, f75 = np.percentile(values[lo : t + 1], [25.0, 50.0, 75.0])
-            iqr = f75 - f25
-            z = 0.0 if iqr == 0.0 else 0.5 * (values[t] - f50) / iqr
-            # ndtr saturates to exactly 0 or 1 for |z| beyond ~8.3; pull the
-            # result back inside the open interval the contract promises
-            out[t] = min(max(ndtr(z), _CDF_FLOOR), _CDF_CEIL)
+        if np.isnan(values).any():
+            # NaN would sort past the padding and corrupt the window quartiles
+            raise InvalidArgumentError(
+                "nonlinear normalization needs a series without NaN"
+            )
+        f25, f50, f75 = _window_quartiles(values, w)
+        iqr = f75 - f25
+        # a subnormal IQR overflows z to inf, which the clamp below absorbs
+        with np.errstate(over="ignore"):
+            np.divide(0.5 * (values - f50), iqr, out=out, where=iqr != 0.0)
+        # ndtr saturates to exactly 0 or 1 for |z| beyond ~8.3; pull the
+        # result back inside the open interval the contract promises
+        np.clip(ndtr(out), _CDF_FLOOR, _CDF_CEIL, out=out)
     elif method == "minmax":
-        for t in range(l):
-            lo = _window_bounds(l, t, w)
-            top = values[lo : t + 1].max()
-            out[t] = 0.0 if top == 0.0 else values[t] / top
+        top = np.empty(l)
+        for lo, block in _window_blocks(values, w, -np.inf):
+            top[lo : lo + block.shape[0]] = block.max(axis=1)
+        np.divide(values, top, out=out, where=top != 0.0)
     else:  # zscore
+        # a padded mean/std would sum in another order, so this stays a loop
+        width = _window_width(w, l)
         for t in range(l):
-            lo = _window_bounds(l, t, w)
-            window = values[lo : t + 1]
+            window = values[max(0, t - width + 1) : t + 1]
             sd = window.std()
             out[t] = 0.0 if sd == 0.0 else (values[t] - window.mean()) / sd
     return out

@@ -15,6 +15,7 @@ from lagte import (
     shannon_entropy,
     transfer_entropy,
 )
+from lagte.entropy import _as_codes, _scan_lags, _te_from_counts
 from conftest import fast_config
 
 
@@ -47,8 +48,30 @@ def te_oracle(source, target, u):
 class _IdentityRng:
     """Stub rng whose permutation is the identity."""
 
-    def permutation(self, x):
-        return np.array(x, copy=True)
+    def permuted(self, x, axis=None, out=None):
+        if out is None:
+            return np.array(x, copy=True)
+        out[...] = x
+        return out
+
+
+def scan_reference(src, tgt, lags, shuffles, rng):
+    """Per-lag, per-surrogate loop over the layout the fused scan replaces.
+
+    Each lag counts its own ``(shuffles + 1, L - u)`` rows, every surrogate
+    drawn by one ``rng.permutation`` call, and evaluates them separately.
+    """
+    n_t = int(tgt.max()) + 1
+    n_s = int(src.max()) + 1
+    out = []
+    for u in lags:
+        n = tgt.size - u
+        rows = [src[:n]] + [rng.permutation(src)[:n] for _ in range(shuffles)]
+        pair = tgt[u:] * n_t + tgt[u - 1 : -1]
+        counts = [np.bincount(pair * n_s + j, minlength=n_t * n_t * n_s) for j in rows]
+        counts = np.array(counts).reshape(-1, n_t, n_t, n_s)
+        out.append(_te_from_counts(counts, np.full(len(rows), float(n))))
+    return np.array(out)
 
 
 class TestShannonEntropy:
@@ -190,6 +213,36 @@ class TestEffectiveTransferEntropy:
             effective_transfer_entropy(source, source, 1, shuffles=0, rng=_IdentityRng())
         with pytest.raises(InvalidArgumentError):
             effective_transfer_entropy(source, source, 1, shuffles=1, rng=None)
+
+
+class TestScanLags:
+    @given(
+        data=st.data(),
+        length=st.integers(min_value=4, max_value=60),
+        n_src=st.integers(min_value=1, max_value=4),
+        n_tgt=st.integers(min_value=1, max_value=4),
+        shuffles=st.integers(min_value=0, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_per_lag_reference(self, data, length, n_src, n_tgt, shuffles, seed):
+        symbols = lambda n: st.lists(
+            st.integers(min_value=0, max_value=n - 1), min_size=length, max_size=length
+        )
+        src = _as_codes(data.draw(symbols(n_src)), "source")
+        tgt = _as_codes(data.draw(symbols(n_tgt)), "target")
+        lag_max = data.draw(st.integers(min_value=1, max_value=length - 2))
+        lag_min = data.draw(st.integers(min_value=1, max_value=lag_max))
+        lags = np.arange(lag_min, lag_max + 1)
+        rng_fused = np.random.default_rng(seed)
+        rng_loop = np.random.default_rng(seed)
+        got = _scan_lags(src, tgt, lags, shuffles, rng_fused)
+        want = scan_reference(src, tgt, lags, shuffles, rng_loop)
+        assert got.tobytes() == want.tobytes()
+        # both consumed the same stream
+        assert rng_fused.random() == rng_loop.random()
+        for row, u in zip(got, lags):
+            assert row[0] == pytest.approx(te_oracle(src, tgt, int(u)), abs=1e-12)
 
 
 class TestBestLag:

@@ -1,14 +1,17 @@
 """Trend removal, window normalization, and symbol encoding."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.special import ndtr
 
 from lagte import InvalidArgumentError, SpeedSeries, decompose, encode, normalize
 from lagte.core import FULL_WINDOW
-from lagte.preprocess import encode_fixed
+from lagte.preprocess import _window_quartiles, encode_fixed
 
 PHI_025 = 0.5987063256829237  # standard normal CDF at 0.25
 PHI_050 = 0.6914624612740131  # standard normal CDF at 0.50
@@ -20,6 +23,35 @@ finite_series = hnp.arrays(
         min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
     ),
 )
+
+
+# series with many ties, from a handful of values
+tied_series = hnp.arrays(
+    np.float64,
+    st.integers(min_value=1, max_value=40),
+    elements=st.sampled_from([-3.0, -0.0, 0.0, 1.0, 2.5, 1e-310]),
+)
+
+
+def window_sizes(length):
+    return (1, 2, 5, length, FULL_WINDOW)
+
+
+def normalize_reference(values, method, w):
+    """The per-step loop that the window-matrix ``normalize`` replaces."""
+    out = np.empty(values.size)
+    for t in range(values.size):
+        window = values[0 if w == FULL_WINDOW else max(0, t - w + 1) : t + 1]
+        if method == "minmax":
+            top = window.max()
+            out[t] = 0.0 if top == 0.0 else values[t] / top
+            continue
+        f25, f50, f75 = np.percentile(window, [25.0, 50.0, 75.0])
+        iqr = f75 - f25
+        with np.errstate(over="ignore"):
+            z = 0.0 if iqr == 0.0 else 0.5 * (values[t] - f50) / iqr
+        out[t] = min(max(ndtr(z), np.nextafter(0.0, 1.0)), np.nextafter(1.0, 0.0))
+    return out
 
 
 class TestDecompose:
@@ -108,6 +140,43 @@ class TestNormalize:
         full = normalize([1.0, 2.0, 3.0], "nonlinear", w=FULL_WINDOW)
         windowed = normalize([1.0, 2.0, 3.0], "nonlinear", w=50)
         assert np.array_equal(full, windowed)
+
+    def test_subnormal_iqr_clamps_without_overflow_warning(self):
+        # last window {5e-324 .. 2e-323, 1.0}: IQR 1e-323, so z overflows
+        values = [0.0, 5e-324, 1e-323, 1.5e-323, 2e-323, 1.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = normalize(values, "nonlinear", w=5)
+        assert out[-1] == np.nextafter(1.0, 0.0)
+
+    @given(series=st.one_of(finite_series, tied_series))
+    @settings(max_examples=150, deadline=None)
+    def test_window_quartiles_match_per_step_percentile(self, series):
+        for w in window_sizes(series.size):
+            got = _window_quartiles(series, w)
+            for t in range(series.size):
+                lo = 0 if w == FULL_WINDOW else max(0, t - w + 1)
+                want = np.percentile(series[lo : t + 1], [25.0, 50.0, 75.0])
+                assert np.array_equal(got[:, t], want)
+
+    def test_window_quartiles_of_constant_series(self):
+        got = _window_quartiles(np.full(7, 4.25), 3)
+        assert np.all(got == 4.25)
+
+    @given(series=st.one_of(finite_series, tied_series))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_step_reference(self, series):
+        for w in window_sizes(series.size):
+            for method in ("nonlinear", "minmax"):
+                # minmax overflows on a subnormal maximum, in both forms alike
+                with np.errstate(over="ignore"):
+                    got = normalize(series, method, w)
+                    want = normalize_reference(series, method, w)
+                assert got.tobytes() == want.tobytes()
+
+    def test_rejects_nan(self):
+        with pytest.raises(InvalidArgumentError):
+            normalize([1.0, float("nan"), 2.0], "nonlinear", w=2)
 
     def test_rejects_unknown_method(self):
         with pytest.raises(InvalidArgumentError):
