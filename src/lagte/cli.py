@@ -37,7 +37,6 @@ from .network import (
     emit_report,
     load_path_spec,
     load_speed_csv,
-    _sample_to_dict,
 )
 from .simulate import SimSpec, generate_pair, run_batch
 
@@ -232,7 +231,7 @@ def cmd_estimate(inv: CliInvocation) -> int:
             "config": config_to_dict(inv.config),
             "source": args.source,
             "target": args.target,
-            "sample": _sample_to_dict(sample),
+            "sample": sample.to_dict(),
         }
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
@@ -267,7 +266,7 @@ def cmd_grid_search(inv: CliInvocation) -> int:
                     "length": length,
                     "window": window,
                     "score": score,
-                    "sample": _sample_to_dict(sample),
+                    "sample": sample.to_dict(),
                 }
                 for (length, window), score, sample in zip(
                     result.grid, result.scores, result.samples

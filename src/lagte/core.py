@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from datetime import datetime
-from typing import Optional, Union
+from typing import Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.stats import norm
@@ -24,6 +24,8 @@ __all__ = [
     "SpeedSeries",
     "PipelineConfig",
     "LagSample",
+    "functionals",
+    "lemma1_interval",
     "NORM_METHODS",
     "FULL_WINDOW",
     "derive_replicate_rng",
@@ -156,6 +158,24 @@ class SpeedSeries:
         return SpeedSeries(self.values[len(self) - n :], self.period, self.label, start)
 
 
+def _is_int(value) -> bool:
+    # bool is an int subclass, but True is no count of anything
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+# Integer fields of PipelineConfig and their smallest allowed values.
+_INT_FIELDS = (
+    ("trend_order", 1),
+    ("residual_states", 1),
+    ("encode_bins", 2),
+    ("boot_reps", 1),
+    ("shuffle_reps", 1),
+    ("lag_min", 1),
+    ("lag_max", 1),
+    ("seed", 0),
+)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """All hyperparameters of the delay-estimation pipeline.
@@ -185,18 +205,18 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.trend_order < 1:
-            raise InvalidArgumentError("trend_order must be a positive integer")
+        for name, minimum in _INT_FIELDS:
+            value = getattr(self, name)
+            if not _is_int(value) or value < minimum:
+                raise InvalidArgumentError(
+                    f"{name} must be an integer >= {minimum}: got {value!r}"
+                )
         if self.window != FULL_WINDOW:
-            if not isinstance(self.window, (int, np.integer)) or self.window < 1:
+            if not _is_int(self.window) or self.window < 1:
                 raise InvalidArgumentError(
                     f"window must be a positive integer or {FULL_WINDOW!r}: "
                     f"got {self.window!r}"
                 )
-        if self.residual_states < 1:
-            raise InvalidArgumentError("residual_states must be a positive integer")
-        if self.encode_bins < 2:
-            raise InvalidArgumentError("encode_bins must be at least 2")
         q = tuple(float(p) for p in self.encode_quantiles)
         object.__setattr__(self, "encode_quantiles", q)
         if len(q) != self.encode_bins - 1:
@@ -208,11 +228,7 @@ class PipelineConfig:
             raise InvalidArgumentError("encode_quantiles must lie strictly in (0, 1)")
         if any(b <= a for a, b in zip(q, q[1:])):
             raise InvalidArgumentError("encode_quantiles must be strictly increasing")
-        if self.boot_reps < 1:
-            raise InvalidArgumentError("boot_reps must be a positive integer")
-        if self.shuffle_reps < 1:
-            raise InvalidArgumentError("shuffle_reps must be a positive integer")
-        if not (1 <= self.lag_min <= self.lag_max):
+        if self.lag_min > self.lag_max:
             raise InvalidArgumentError(
                 f"need 1 <= lag_min <= lag_max: got [{self.lag_min}, {self.lag_max}]"
             )
@@ -220,7 +236,7 @@ class PipelineConfig:
             raise InvalidArgumentError(
                 f"norm_method must be one of {NORM_METHODS}: got {self.norm_method!r}"
             )
-        if not 0 <= self.seed <= _MAX_SEED:
+        if self.seed > _MAX_SEED:
             raise InvalidArgumentError("seed must be a 64-bit unsigned integer")
 
     def validate_for_length(self, length: int) -> None:
@@ -247,6 +263,36 @@ def _z_value(level: float) -> float:
     return float(norm.ppf(0.5 + level / 2.0))
 
 
+def functionals(lags: Sequence[int]) -> Tuple[float, float]:
+    """Mean and population variance of a bootstrap lag sample.
+
+    The variance uses the replicate count as divisor (mean of squares
+    minus squared mean), not the unbiased ``B - 1`` form.
+    """
+    arr = np.asarray(lags, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise InvalidArgumentError("lags must be a nonempty 1-d sequence")
+    mu = float(arr.mean())
+    sigma2 = max(float(np.mean(arr**2) - mu**2), 0.0)  # guard float cancellation
+    return mu, sigma2
+
+
+def lemma1_interval(
+    mu_hat: float, sigma2_hat: float, b: int, level: float = 0.95
+) -> Tuple[float, float]:
+    """Normal-approximation interval for the bootstrap mean.
+
+    ``mu_hat +/- z * sqrt(sigma2_hat / b)`` where ``z`` is the two-sided
+    normal quantile for ``level``.
+    """
+    if b < 1:
+        raise InvalidArgumentError(f"replicate count must be >= 1: got {b}")
+    if sigma2_hat < 0:
+        raise InvalidArgumentError(f"variance must be >= 0: got {sigma2_hat}")
+    half = _z_value(level) * math.sqrt(sigma2_hat / b)
+    return mu_hat - half, mu_hat + half
+
+
 @dataclass(frozen=True)
 class LagSample:
     """The bootstrap sample of estimated lags and its summary functionals.
@@ -267,21 +313,34 @@ class LagSample:
     @classmethod
     def from_lags(cls, lags, level: float = 0.95) -> "LagSample":
         lag_list = tuple(int(u) for u in lags)
-        if not lag_list:
-            raise InvalidArgumentError("lags must be nonempty")
+        mu, sigma2 = functionals(lag_list)
         b = len(lag_list)
-        arr = np.asarray(lag_list, dtype=float)
-        mu = float(arr.mean())
-        sigma2 = float(np.mean(arr**2) - mu**2)
-        sigma2 = max(sigma2, 0.0)  # guard float cancellation
-        stderr = math.sqrt(sigma2 / b)
-        z = _z_value(level)
         return cls(
             lags=lag_list,
             mu_hat=mu,
             sigma2_hat=sigma2,
-            stderr=stderr,
-            ci95=(mu - z * stderr, mu + z * stderr),
+            stderr=math.sqrt(sigma2 / b),
+            ci95=lemma1_interval(mu, sigma2, b, level),
+        )
+
+    def to_dict(self) -> dict:
+        """JSON-ready form; ``from_dict`` reads it back exactly."""
+        return {
+            "lags": list(self.lags),
+            "mu_hat": self.mu_hat,
+            "sigma2_hat": self.sigma2_hat,
+            "stderr": self.stderr,
+            "ci95": list(self.ci95),
+        }
+
+    @classmethod
+    def from_dict(cls, data: Mapping) -> "LagSample":
+        return cls(
+            lags=tuple(int(u) for u in data["lags"]),
+            mu_hat=float(data["mu_hat"]),
+            sigma2_hat=float(data["sigma2_hat"]),
+            stderr=float(data["stderr"]),
+            ci95=tuple(float(x) for x in data["ci95"]),
         )
 
     @property

@@ -26,12 +26,18 @@ integer code array, each row offset into its own block of count bins, so
 one ``bincount`` histograms every triple and one vectorized pass turns the
 count tensors into transfer entropies.  ``transfer_entropy`` and
 ``effective_transfer_entropy`` are the one-lag cases of the same scan.
+
+The source half of that array -- the source and its shuffled surrogates --
+does not depend on the target.  ``best_lags`` fills it once and counts
+it against any number of targets, each of which gets exactly what
+``best_lag`` would give it from the same ``rng`` state; ``best_lag`` is
+its one-target case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -45,6 +51,7 @@ __all__ = [
     "transfer_entropy",
     "effective_transfer_entropy",
     "best_lag",
+    "best_lags",
 ]
 
 # Plug-in TE is nonnegative in exact arithmetic; accumulated rounding can
@@ -139,23 +146,30 @@ def _as_codes(series: SymbolsLike, name: str) -> np.ndarray:
     return codes.astype(np.int64)
 
 
-def _symbol_pair(
-    source: SymbolsLike, target: SymbolsLike, u_max: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Dense codes of a same-length source/target pair valid up to lag ``u_max``."""
-    src = _as_codes(source, "source")
-    tgt = _as_codes(target, "target")
-    if src.size != tgt.size:
-        raise InvalidArgumentError(
-            f"source and target lengths differ: {src.size} != {tgt.size}"
-        )
-    length = tgt.size
+def _check_lag(u_max: int, length: int) -> None:
     if u_max < 1:
         raise InvalidArgumentError(f"lag must be >= 1: got {u_max}")
     if u_max > length - 2:
         raise InvalidArgumentError(
             f"lag {u_max} needs series longer than {u_max + 1}: got length {length}"
         )
+
+
+def _check_lengths(src: np.ndarray, tgt: np.ndarray) -> None:
+    if src.size != tgt.size:
+        raise InvalidArgumentError(
+            f"source and target lengths differ: {src.size} != {tgt.size}"
+        )
+
+
+def _symbol_pair(
+    source: SymbolsLike, target: SymbolsLike, u_max: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Dense codes of a same-length source/target pair valid up to lag ``u_max``."""
+    src = _as_codes(source, "source")
+    tgt = _as_codes(target, "target")
+    _check_lengths(src, tgt)
+    _check_lag(u_max, tgt.size)
     return src, tgt
 
 
@@ -186,31 +200,28 @@ def _te_from_counts(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
 
 
 def _lag_counts(
-    src: np.ndarray, tgt: np.ndarray, lags: np.ndarray, shuffles: int, rng
+    rows: np.ndarray,
+    tgt: np.ndarray,
+    lags: np.ndarray,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Triple counts of the source and of ``shuffles`` surrogates at every lag.
+    """Triple counts of every row of a source code array against one target.
 
-    Returns shape ``(len(lags) * (shuffles + 1), n_t, n_t, n_s)``, lag-major;
-    within a lag the source itself comes first, then its permutations,
-    drawn lag by lag and surrogate by surrogate from ``rng`` (the same
-    stream as one ``rng.permutation`` call each).  All rows share one
-    ``(lags, shuffles + 1, L)`` code array and one ``bincount``.  Each row
-    owns a slab of ``n_t * n_t + 1`` target pairs by ``n_s`` source
-    symbols; the extra pair collects the positions past the aligned range
-    ``L - u`` and is dropped.
+    ``rows`` is the ``(lags, shuffles + 1, L)`` array of ``_count_targets``.
+    Returns shape ``(len(lags) * (shuffles + 1), n_t, n_t, n_s)``, in the
+    row order of ``rows``.  The target's pair codes are added to ``rows``
+    into ``out`` (a new array when None, or ``rows`` itself), and one
+    ``bincount`` counts every row.  Each row owns a slab of
+    ``n_t * n_t + 1`` target pairs by ``n_s`` source symbols; the extra
+    pair collects the positions past the aligned range ``L - u`` and is
+    dropped.
     """
-    length = tgt.size
+    n_lags, reps, length = rows.shape
     n_t = int(tgt.max()) + 1
-    n_s = int(src.max()) + 1
+    n_s = int(rows[0, 0].max()) + 1
     n_pairs = n_t * n_t
     slab = (n_pairs + 1) * n_s
-    reps = shuffles + 1
 
-    codes = np.empty((lags.size, reps, length), dtype=np.intp)
-    codes[:] = src
-    if shuffles:
-        surrogates = codes[:, 1:]
-        rng.permuted(surrogates, axis=2, out=surrogates)
     # the target pair (i_t, i_{t-1}) aligned with source position p at lag
     # u is pairs[p + u - 1]; the padding covers p >= L - u
     pairs = np.concatenate(
@@ -218,28 +229,59 @@ def _lag_counts(
     )
     aligned = sliding_window_view(pairs, length)[lags - 1]
     aligned *= n_s
-    aligned += (np.arange(lags.size) * (reps * slab))[:, None]
-    codes += aligned[:, None, :]
+    aligned += (np.arange(n_lags) * (reps * slab))[:, None]
+    codes = np.add(rows, aligned[:, None, :], out=out)
     codes += (np.arange(reps) * slab)[:, None]
-    rows = lags.size * reps
-    counts = np.bincount(codes.ravel(), minlength=rows * slab)
-    counts = counts.reshape(rows, n_pairs + 1, n_s)[:, :n_pairs]
-    return counts.reshape(rows, n_t, n_t, n_s)
+    counts = np.bincount(codes.ravel(), minlength=n_lags * reps * slab)
+    counts = counts.reshape(n_lags * reps, n_pairs + 1, n_s)[:, :n_pairs]
+    return counts.reshape(n_lags * reps, n_t, n_t, n_s)
+
+
+def _count_targets(
+    src: np.ndarray, tgts: Sequence[np.ndarray], lags: np.ndarray, shuffles: int, rng
+) -> list:
+    """Triple counts of the source and its surrogates against each target.
+
+    The source fills one ``(lags, shuffles + 1, L)`` code array; within
+    each lag, row 0 is the source itself and the rest are permutations,
+    drawn lag by lag and surrogate by surrogate from ``rng`` (the same
+    stream as one ``rng.permutation`` call each).  Every target but the
+    last counts a copy of that array; the last adds its codes in place,
+    so a one-target scan allocates a single code array.
+    """
+    rows = np.empty((lags.size, shuffles + 1, src.size), dtype=np.intp)
+    rows[:] = src
+    if shuffles:
+        surrogates = rows[:, 1:]
+        rng.permuted(surrogates, axis=2, out=surrogates)
+    *others, last = tgts
+    counts = [_lag_counts(rows, tgt, lags) for tgt in others]
+    counts.append(_lag_counts(rows, last, lags, out=rows))
+    return counts
+
+
+def _scan_targets(
+    src: np.ndarray, tgts: Sequence[np.ndarray], lags: np.ndarray, shuffles: int, rng
+) -> list:
+    """Transfer entropy of the source and its surrogates against each target.
+
+    Returns one ``(len(lags), shuffles + 1)`` array per target; column 0
+    is the source itself, the rest are its surrogates.  Counting is a
+    separate call so that the code arrays are freed before the TE
+    temporaries are allocated, which keeps the peak memory down.
+    """
+    counts = _count_targets(src, tgts, lags, shuffles, rng)
+    totals = np.repeat((src.size - lags).astype(float), shuffles + 1)
+    return [
+        _te_from_counts(c, totals).reshape(lags.size, shuffles + 1) for c in counts
+    ]
 
 
 def _scan_lags(
     src: np.ndarray, tgt: np.ndarray, lags: np.ndarray, shuffles: int, rng
 ) -> np.ndarray:
-    """Transfer entropy of the source and of ``shuffles`` surrogates at every lag.
-
-    Returns shape ``(len(lags), shuffles + 1)``; column 0 is the source
-    itself, the rest are its surrogates (see ``_lag_counts``).  Counting
-    is a separate call so that the code array is freed before the TE
-    temporaries are allocated, which keeps the peak memory down.
-    """
-    counts = _lag_counts(src, tgt, lags, shuffles, rng)
-    totals = np.repeat((tgt.size - lags).astype(float), shuffles + 1)
-    return _te_from_counts(counts, totals).reshape(lags.size, shuffles + 1)
+    """The one-target case of ``_scan_targets``."""
+    return _scan_targets(src, [tgt], lags, shuffles, rng)[0]
 
 
 def transfer_entropy(source: SymbolsLike, target: SymbolsLike, u: int) -> float:
@@ -306,6 +348,44 @@ def effective_transfer_entropy(
     return te - shuffle_mean, te, shuffle_mean
 
 
+def _pick_lag(lags: np.ndarray, scan: np.ndarray) -> Tuple[int, LagTEProfile]:
+    te = scan[:, 0]
+    shuffle_mean = scan[:, 1:].mean(axis=1)
+    profile = LagTEProfile(
+        lags=tuple(lags.tolist()),
+        te=tuple(te.tolist()),
+        ete=tuple((te - shuffle_mean).tolist()),
+        shuffle_mean=tuple(shuffle_mean.tolist()),
+    )
+    return profile.best(), profile
+
+
+def best_lags(
+    source: SymbolsLike,
+    targets: Sequence[SymbolsLike],
+    config: PipelineConfig,
+    rng: np.random.Generator,
+) -> List[Tuple[int, LagTEProfile]]:
+    """``best_lag`` of one source against each of ``targets``.
+
+    The source's shuffled surrogates are drawn once and shared: entry
+    ``k`` equals ``best_lag(source, targets[k], config, rng)`` called with
+    ``rng`` in the state this call found it in, and ``rng`` advances as
+    one ``best_lag`` call advances it.
+    """
+    if len(targets) == 0:
+        raise InvalidArgumentError("need at least one target")
+    src = _as_codes(source, "source")
+    tgts = []
+    for target in targets:
+        tgts.append(_as_codes(target, "target"))
+        _check_lengths(src, tgts[-1])
+    _check_lag(config.lag_max, src.size)
+    lags = np.arange(config.lag_min, config.lag_max + 1)
+    scans = _scan_targets(src, tgts, lags, config.shuffle_reps, rng)
+    return [_pick_lag(lags, scan) for scan in scans]
+
+
 def best_lag(
     source: SymbolsLike,
     target: SymbolsLike,
@@ -322,15 +402,4 @@ def best_lag(
     (u_hat, profile) : tuple
         The winning lag and the full per-lag profile behind the choice.
     """
-    src, tgt = _symbol_pair(source, target, config.lag_max)
-    lags = np.arange(config.lag_min, config.lag_max + 1)
-    scan = _scan_lags(src, tgt, lags, config.shuffle_reps, rng)
-    te = scan[:, 0]
-    shuffle_mean = scan[:, 1:].mean(axis=1)
-    profile = LagTEProfile(
-        lags=tuple(lags.tolist()),
-        te=tuple(te.tolist()),
-        ete=tuple((te - shuffle_mean).tolist()),
-        shuffle_mean=tuple(shuffle_mean.tolist()),
-    )
-    return profile.best(), profile
+    return best_lags(source, [target], config, rng)[0]

@@ -12,7 +12,10 @@ Source and target series are decomposed and model-fitted once (both steps
 are deterministic) and only the sampling, normalization, encoding, and lag
 scan run per replicate.  Every replicate derives its own RNG substreams
 from the master seed, so results are bit-identical no matter how the
-replicates are scheduled across workers.
+replicates are scheduled across workers.  The source's streams do not
+depend on the target, so pairs that share a source also share its
+per-replicate work, down to the shuffled surrogates (``estimate_delays``).
+With several workers, one process pool serves the outermost public call.
 
 Grid search evaluates the pipeline over candidate observation lengths and
 normalization windows and picks the cell with the smallest variance ratio,
@@ -22,7 +25,9 @@ the configuration under which the delay estimate is most stable.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
 
@@ -33,21 +38,26 @@ from .core import (
     FULL_WINDOW,
     InvalidArgumentError,
     LagSample,
+    LagTEError,
     PipelineConfig,
     SpeedSeries,
     TAG_SHUFFLE,
     TAG_SOURCE_BOOT,
     TAG_TARGET_BOOT,
-    _z_value,
     derive_replicate_rng,
+    functionals,
+    lemma1_interval,
 )
-from .entropy import best_lag
+# best_lag is no longer called here, but it stays a module attribute:
+# perfbench/tracing.py wraps it by this name
+from .entropy import best_lag, best_lags  # noqa: F401
 from .preprocess import decompose, encode, encode_fixed, normalize
 
 __all__ = [
     "EstimateDetails",
     "GridSearchResult",
     "estimate_delay",
+    "estimate_delays",
     "functionals",
     "lemma1_interval",
     "grid_search",
@@ -93,36 +103,6 @@ class GridSearchResult:
     skipped: Tuple[Tuple[Tuple[int, Union[int, str]], str], ...]
 
 
-def functionals(lags: Sequence[int]) -> Tuple[float, float]:
-    """Mean and population variance of a bootstrap lag sample.
-
-    The variance uses the replicate count as divisor (mean of squares
-    minus squared mean), not the unbiased ``B - 1`` form.
-    """
-    arr = np.asarray(lags, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise InvalidArgumentError("lags must be a nonempty 1-d sequence")
-    mu = float(arr.mean())
-    sigma2 = max(float(np.mean(arr**2) - mu**2), 0.0)
-    return mu, sigma2
-
-
-def lemma1_interval(
-    mu_hat: float, sigma2_hat: float, b: int, level: float = 0.95
-) -> Tuple[float, float]:
-    """Normal-approximation interval for the bootstrap mean.
-
-    ``mu_hat +/- z * sqrt(sigma2_hat / b)`` where ``z`` is the two-sided
-    normal quantile for ``level``.
-    """
-    if b < 1:
-        raise InvalidArgumentError(f"replicate count must be >= 1: got {b}")
-    if sigma2_hat < 0:
-        raise InvalidArgumentError(f"variance must be >= 0: got {sigma2_hat}")
-    half = _z_value(level) * math.sqrt(sigma2_hat / b)
-    return mu_hat - half, mu_hat + half
-
-
 def _as_series(series, name: str) -> SpeedSeries:
     if isinstance(series, SpeedSeries):
         return series
@@ -146,37 +126,204 @@ def _encode_for_method(normalized: np.ndarray, config: PipelineConfig):
     return encode_fixed(normalized, config.encode_quantiles)
 
 
+def _replicate_symbols(trend, model, config: PipelineConfig, rng):
+    """One bootstrap replicate of a series, coded; returns (symbols, restarts)."""
+    diagnostics = {}
+    boot = sample_bootstrap_series(
+        model, trend, trend.size, rng, diagnostics=diagnostics
+    )
+    normalized = normalize(boot.values, config.norm_method, config.window)
+    return _encode_for_method(normalized, config), diagnostics["restarts"]
+
+
 def _run_replicates(
-    trend_src: np.ndarray,
-    model_src: MarkovModel,
-    trend_tgt: np.ndarray,
-    model_tgt: MarkovModel,
+    source: Tuple[np.ndarray, MarkovModel],
+    targets: Tuple[Tuple[np.ndarray, MarkovModel], ...],
     config: PipelineConfig,
     indices: Sequence[int],
 ) -> list:
-    """Run a block of bootstrap replicates; returns (lag, best_ete, restarts) rows."""
-    length = trend_src.size
-    out = []
+    """Run a block of bootstrap replicates of one source against each target.
+
+    ``source`` and every target are ``(trend, model)`` pairs of equal
+    length.  Per replicate the source is walked, normalized and encoded
+    once, each target gets its own walk, and one ``best_lags`` call shares
+    the source's shuffled surrogates among all targets.  Returns, per
+    target, its ``(lag, best_ete, restarts)`` rows in ``indices`` order
+    and either None or ``(index, error)`` for the first replicate where
+    it failed.  A failed target is skipped from then on; a failure of the
+    source or of the shared scan fails every target still running.
+    """
+    rows = [[] for _ in targets]
+    failed = [None] * len(targets)
     for b in indices:
-        rng_src = derive_replicate_rng(config.seed, b, TAG_SOURCE_BOOT)
-        rng_tgt = derive_replicate_rng(config.seed, b, TAG_TARGET_BOOT)
-        rng_shuffle = derive_replicate_rng(config.seed, b, TAG_SHUFFLE)
-        diag_src, diag_tgt = {}, {}
-        boot_src = sample_bootstrap_series(
-            model_src, trend_src, length, rng_src, diagnostics=diag_src
+        live = [k for k, f in enumerate(failed) if f is None]
+        if not live:
+            break
+        try:
+            rng_src = derive_replicate_rng(config.seed, b, TAG_SOURCE_BOOT)
+            sym_src, restarts_src = _replicate_symbols(*source, config, rng_src)
+        except LagTEError as exc:
+            for k in live:
+                failed[k] = (b, exc)
+            break
+        coded = {}
+        for k in live:
+            try:
+                rng_tgt = derive_replicate_rng(config.seed, b, TAG_TARGET_BOOT)
+                coded[k] = _replicate_symbols(*targets[k], config, rng_tgt)
+            except LagTEError as exc:
+                failed[k] = (b, exc)
+        if not coded:
+            continue
+        try:
+            rng_shuffle = derive_replicate_rng(config.seed, b, TAG_SHUFFLE)
+            picks = best_lags(
+                sym_src, [sym for sym, _ in coded.values()], config, rng_shuffle
+            )
+        except LagTEError as exc:
+            for k in coded:
+                failed[k] = (b, exc)
+            continue
+        for (k, (_, restarts_tgt)), (u_hat, profile) in zip(coded.items(), picks):
+            rows[k].append((u_hat, max(profile.ete), restarts_src + restarts_tgt))
+    return list(zip(rows, failed))
+
+
+# The pool of the outermost public call in progress in this thread, if any.
+_ACTIVE_POOL: ContextVar[Optional[ProcessPoolExecutor]] = ContextVar(
+    "lagte_active_pool", default=None
+)
+
+
+@contextmanager
+def _pool(workers: Optional[int]):
+    """Yield the process pool that serves a public call, or None to run serially.
+
+    ``workers`` None or 1 runs serially and starts nothing.  Otherwise a
+    call made inside another public call's pool reuses it, and the
+    outermost call opens one pool that closes when that call returns.
+    """
+    if workers is None or workers <= 1:
+        yield None
+    elif _ACTIVE_POOL.get() is not None:
+        yield _ACTIVE_POOL.get()
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            token = _ACTIVE_POOL.set(pool)
+            try:
+                yield pool
+            finally:
+                _ACTIVE_POOL.reset(token)
+
+
+def _start_replicates(pool, workers, source, targets, config) -> list:
+    """Start every replicate of one source against its targets.
+
+    Returns ``(indices, future)`` per block of replicates.  A serial run
+    computes its one block at once.  Blocks interleave the replicate
+    indices, so every worker gets a share of each part of the sequence.
+    """
+    indices = range(config.boot_reps)
+    if pool is None:
+        done = Future()
+        done.set_result(_run_replicates(source, targets, config, indices))
+        return [(indices, done)]
+    blocks = [indices[i :: workers * 4] for i in range(workers * 4)]
+    return [
+        (block, pool.submit(_run_replicates, source, targets, config, block))
+        for block in blocks
+        if block
+    ]
+
+
+def _gather_replicates(blocks, n_targets: int, level: float) -> list:
+    """Per target, ``(LagSample, EstimateDetails)`` or the ``LagTEError`` it raised.
+
+    A target that failed reports the error of its earliest failing
+    replicate, whatever the blocks were.
+    """
+    rows = [{} for _ in range(n_targets)]
+    failures = [[] for _ in range(n_targets)]
+    for indices, future in blocks:
+        for k, (block_rows, failure) in enumerate(future.result()):
+            rows[k].update(zip(indices, block_rows))
+            if failure is not None:
+                failures[k].append(failure)
+    out = []
+    for k in range(n_targets):
+        if failures[k]:
+            out.append(min(failures[k], key=lambda f: f[0])[1])
+            continue
+        ordered = [rows[k][b] for b in sorted(rows[k])]
+        lags = tuple(int(r[0]) for r in ordered)
+        details = EstimateDetails(
+            lags=lags,
+            best_ete=tuple(float(r[1]) for r in ordered),
+            restarts=sum(int(r[2]) for r in ordered),
         )
-        boot_tgt = sample_bootstrap_series(
-            model_tgt, trend_tgt, length, rng_tgt, diagnostics=diag_tgt
-        )
-        norm_src = normalize(boot_src.values, config.norm_method, config.window)
-        norm_tgt = normalize(boot_tgt.values, config.norm_method, config.window)
-        sym_src = _encode_for_method(norm_src, config)
-        sym_tgt = _encode_for_method(norm_tgt, config)
-        u_hat, profile = best_lag(sym_src, sym_tgt, config, rng_shuffle)
-        out.append(
-            (u_hat, max(profile.ete), diag_src["restarts"] + diag_tgt["restarts"])
-        )
+        out.append((LagSample.from_lags(lags, level=level), details))
     return out
+
+
+def estimate_delays(
+    pairs: Sequence[Tuple[SpeedSeries, SpeedSeries]],
+    config: PipelineConfig,
+    workers: Optional[int] = None,
+    level: float = 0.95,
+) -> list:
+    """``estimate_delay`` of many pairs, sharing the work of a common source.
+
+    Pairs whose source is the same object form one group: the source is
+    decomposed and fitted once and, per replicate, walked, normalized,
+    encoded and shuffled once for all its targets.  Every series is
+    decomposed and fitted at most once, and all groups share one pool.
+    Each result equals ``estimate_delay(source, target, config,
+    return_details=True)`` for its pair.
+
+    Returns
+    -------
+    list
+        Per pair, ``(LagSample, EstimateDetails)``, or the ``LagTEError``
+        that ``estimate_delay`` would raise for that pair alone.
+    """
+    results: list = [None] * len(pairs)
+    fitted = {}  # id of a caller's series -> (trend, model)
+
+    def fit(key, series):
+        if id(key) not in fitted:
+            decomp = decompose(series, config.trend_order)
+            model = fit_markov(decomp.residual, config.residual_states)
+            fitted[id(key)] = (decomp.trend, model)
+        return fitted[id(key)]
+
+    groups = {}  # id(source) -> (source fit, {id(target): (target fit, pair indices)})
+    for i, (source, target) in enumerate(pairs):
+        try:
+            src = _as_series(source, "source")
+            tgt = _as_series(target, "target")
+            if len(src) != len(tgt):
+                raise InvalidArgumentError(
+                    f"source and target lengths differ: {len(src)} != {len(tgt)}"
+                )
+            config.validate_for_length(len(src))
+            src_fit, tgt_fit = fit(source, src), fit(target, tgt)
+        except LagTEError as exc:
+            results[i] = exc
+            continue
+        _, targets = groups.setdefault(id(source), (src_fit, {}))
+        targets.setdefault(id(target), (tgt_fit, []))[1].append(i)
+
+    with _pool(workers) as pool:
+        started = []
+        for src_fit, targets in groups.values():
+            fits = tuple(tgt_fit for tgt_fit, _ in targets.values())
+            started.append(_start_replicates(pool, workers, src_fit, fits, config))
+        for (_, targets), blocks in zip(groups.values(), started):
+            outcomes = _gather_replicates(blocks, len(targets), level)
+            for (_, members), outcome in zip(targets.values(), outcomes):
+                for i in members:
+                    results[i] = outcome
+    return results
 
 
 def estimate_delay(
@@ -199,7 +346,8 @@ def estimate_delay(
     config : PipelineConfig
     workers : int, optional
         Process count for replicate evaluation.  ``None`` or 1 runs
-        serially; results are identical either way.
+        serially; results are identical either way.  A call made inside
+        ``grid_search`` or ``run_batch`` shares their pool.
     level : float
         Confidence level of the reported interval.
     return_details : bool
@@ -209,58 +357,10 @@ def estimate_delay(
     -------
     LagSample, or (LagSample, EstimateDetails) with ``return_details``.
     """
-    src = _as_series(source, "source")
-    tgt = _as_series(target, "target")
-    if len(src) != len(tgt):
-        raise InvalidArgumentError(
-            f"source and target lengths differ: {len(src)} != {len(tgt)}"
-        )
-    config.validate_for_length(len(src))
-
-    decomp_src = decompose(src, config.trend_order)
-    decomp_tgt = decompose(tgt, config.trend_order)
-    model_src = fit_markov(decomp_src.residual, config.residual_states)
-    model_tgt = fit_markov(decomp_tgt.residual, config.residual_states)
-
-    indices = range(config.boot_reps)
-    if workers is not None and workers > 1:
-        chunks = [
-            list(indices[i :: workers * 4]) for i in range(workers * 4)
-        ]
-        chunks = [c for c in chunks if c]
-        rows_by_index = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _run_replicates,
-                    decomp_src.trend,
-                    model_src,
-                    decomp_tgt.trend,
-                    model_tgt,
-                    config,
-                    chunk,
-                )
-                for chunk in chunks
-            ]
-            for chunk, future in zip(chunks, futures):
-                for b, row in zip(chunk, future.result()):
-                    rows_by_index[b] = row
-        rows = [rows_by_index[b] for b in indices]
-    else:
-        rows = _run_replicates(
-            decomp_src.trend, model_src, decomp_tgt.trend, model_tgt, config, indices
-        )
-
-    lags = tuple(int(r[0]) for r in rows)
-    sample = LagSample.from_lags(lags, level=level)
-    if not return_details:
-        return sample
-    details = EstimateDetails(
-        lags=lags,
-        best_ete=tuple(float(r[1]) for r in rows),
-        restarts=sum(int(r[2]) for r in rows),
-    )
-    return sample, details
+    (outcome,) = estimate_delays([(source, target)], config, workers, level)
+    if isinstance(outcome, LagTEError):
+        raise outcome
+    return outcome if return_details else outcome[0]
 
 
 def _window_sort_key(window) -> float:
@@ -291,7 +391,8 @@ def grid_search(
     length_grid : sequence of int
     window_grid : sequence of int or "full"
     workers : int, optional
-        Forwarded to each cell's estimation.
+        Forwarded to each cell's estimation; with more than one, every
+        cell shares one process pool.
     estimate_fn : callable, optional
         Replacement for the cell evaluator with the same signature as
         ``estimate_delay(source, target, config, workers=...)``; intended
@@ -308,26 +409,30 @@ def grid_search(
     runner = estimate_fn if estimate_fn is not None else estimate_delay
 
     grid, scores, samples, skipped = [], [], [], []
-    for length in length_grid:
-        for window in window_grid:
-            cell = (int(length), window if window == FULL_WINDOW else int(window))
-            try:
-                if length > len(src) or length > len(tgt):
-                    raise InvalidArgumentError(
-                        f"length {length} exceeds available samples "
-                        f"{min(len(src), len(tgt))}"
+    with _pool(workers):
+        for length in length_grid:
+            for window in window_grid:
+                cell = (int(length), window if window == FULL_WINDOW else int(window))
+                try:
+                    if length > len(src) or length > len(tgt):
+                        raise InvalidArgumentError(
+                            f"length {length} exceeds available samples "
+                            f"{min(len(src), len(tgt))}"
+                        )
+                    config = base_config.with_overrides(window=cell[1])
+                    config.validate_for_length(int(length))
+                    sample = runner(
+                        src.tail(int(length)),
+                        tgt.tail(int(length)),
+                        config,
+                        workers=workers,
                     )
-                config = base_config.with_overrides(window=cell[1])
-                config.validate_for_length(int(length))
-                sample = runner(
-                    src.tail(int(length)), tgt.tail(int(length)), config, workers=workers
-                )
-            except InvalidArgumentError as exc:
-                skipped.append((cell, str(exc)))
-                continue
-            grid.append(cell)
-            scores.append(sample.sigma2_hat / sample.n_reps)
-            samples.append(sample)
+                except InvalidArgumentError as exc:
+                    skipped.append((cell, str(exc)))
+                    continue
+                grid.append(cell)
+                scores.append(sample.sigma2_hat / sample.n_reps)
+                samples.append(sample)
 
     if not grid:
         reasons = "; ".join(f"{c}: {r}" for c, r in skipped)

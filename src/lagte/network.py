@@ -32,7 +32,9 @@ from .core import (
     PipelineConfig,
     SpeedSeries,
 )
-from .estimator import EstimateDetails, estimate_delay
+# estimate_delay is no longer called here, but it stays a module attribute:
+# perfbench/tracing.py wraps it by this name
+from .estimator import EstimateDetails, estimate_delay, estimate_delays  # noqa: F401
 
 __all__ = [
     "CSV_HEADER",
@@ -337,6 +339,12 @@ def analyze_paths(
     downstream road; with ``consecutive=True`` the source is the previous
     road on the path instead.  A failing hop records its error in the
     report and analysis continues.
+
+    All hops are estimated in one ``estimate_delays`` call: each road's
+    window is decomposed and fitted once, hops from one source road share
+    its per-replicate work, and ``workers > 1`` starts one process pool
+    for the whole call.  Every hop's result equals its own
+    ``estimate_delay``.
     """
     if max_hops < 0:
         raise InvalidArgumentError(f"max_hops must be >= 0: got {max_hops}")
@@ -353,33 +361,45 @@ def analyze_paths(
                 windows[road] = exc
         return windows[road]
 
+    hop_roads = [
+        [
+            (k, path[k - 1] if consecutive else path[0], path[k])
+            for k in range(1, min(len(path) - 1, max_hops) + 1)
+        ]
+        for path in network.paths
+    ]
+    pairs = {}
+    for hops in hop_roads:
+        for _, src_road, tgt_road in hops:
+            src, tgt = window(src_road), window(tgt_road)
+            if not isinstance(src, LagTEError) and not isinstance(tgt, LagTEError):
+                pairs[src_road, tgt_road] = (src, tgt)
+    outcomes = dict(
+        zip(pairs, estimate_delays(list(pairs.values()), config, workers=workers))
+    )
+
     reports = []
-    for path in network.paths:
-        hops = []
-        for k in range(1, min(len(path) - 1, max_hops) + 1):
-            src_road = path[k - 1] if consecutive else path[0]
-            tgt_road = path[k]
+    for path, hops in zip(network.paths, hop_roads):
+        estimates = []
+        for k, src_road, tgt_road in hops:
             sample = None
             histogram: Tuple[Tuple[int, int], ...] = ()
             flag = False
             error = None
             src = window(src_road)
             tgt = window(tgt_road)
+            outcome = outcomes.get((src_road, tgt_road))
             if isinstance(src, LagTEError):
                 error = f"source {src_road}: {src}"
             elif isinstance(tgt, LagTEError):
                 error = f"target {tgt_road}: {tgt}"
+            elif isinstance(outcome, LagTEError):
+                error = str(outcome)
             else:
-                try:
-                    sample, details = estimate_delay(
-                        src, tgt, config, workers=workers, return_details=True
-                    )
-                    histogram = sample.histogram(config.lag_min, config.lag_max)
-                    flag = hop_causality_flag(sample, details, config)
-                except LagTEError as exc:
-                    sample = None
-                    error = str(exc)
-            hops.append(
+                sample, details = outcome
+                histogram = sample.histogram(config.lag_min, config.lag_max)
+                flag = hop_causality_flag(sample, details, config)
+            estimates.append(
                 HopEstimate(
                     hop=k,
                     source=src_road,
@@ -390,7 +410,7 @@ def analyze_paths(
                     error=error,
                 )
             )
-        reports.append(PathReport(path=path, hops=tuple(hops), config=config))
+        reports.append(PathReport(path=path, hops=tuple(estimates), config=config))
     return tuple(reports)
 
 
@@ -419,26 +439,6 @@ def config_from_dict(data: Mapping) -> PipelineConfig:
     return PipelineConfig(**kwargs)
 
 
-def _sample_to_dict(sample: LagSample) -> dict:
-    return {
-        "lags": list(sample.lags),
-        "mu_hat": sample.mu_hat,
-        "sigma2_hat": sample.sigma2_hat,
-        "stderr": sample.stderr,
-        "ci95": list(sample.ci95),
-    }
-
-
-def _sample_from_dict(data: Mapping) -> LagSample:
-    return LagSample(
-        lags=tuple(int(u) for u in data["lags"]),
-        mu_hat=float(data["mu_hat"]),
-        sigma2_hat=float(data["sigma2_hat"]),
-        stderr=float(data["stderr"]),
-        ci95=tuple(float(x) for x in data["ci95"]),
-    )
-
-
 def _report_to_dict(report: PathReport) -> dict:
     hops = []
     for hop in report.hops:
@@ -447,7 +447,7 @@ def _report_to_dict(report: PathReport) -> dict:
                 "hop": hop.hop,
                 "source": hop.source,
                 "target": hop.target,
-                "sample": None if hop.sample is None else _sample_to_dict(hop.sample),
+                "sample": None if hop.sample is None else hop.sample.to_dict(),
                 "histogram": [list(pair) for pair in hop.histogram],
                 "causality_flag": hop.causality_flag,
                 "error": hop.error,
@@ -468,7 +468,9 @@ def _report_from_dict(data: Mapping) -> PathReport:
                 hop=int(h["hop"]),
                 source=h["source"],
                 target=h["target"],
-                sample=None if h["sample"] is None else _sample_from_dict(h["sample"]),
+                sample=(
+                    None if h["sample"] is None else LagSample.from_dict(h["sample"])
+                ),
                 histogram=tuple(
                     (int(lag), int(count)) for lag, count in h["histogram"]
                 ),

@@ -230,7 +230,8 @@ def normalize(
       Output lies strictly inside (0, 1).  A degenerate window with zero IQR
       standardizes to 0, giving 0.5.
     - ``minmax``: ``x / max(window)`` (scaling only; the window minimum is
-      not subtracted).  A window maximum of exactly 0 gives 0.
+      not subtracted).  A window maximum of exactly 0 gives 0; a subnormal
+      one can give an infinite ratio.
     - ``zscore``: ``(x - mean(window)) / std(window)``, population standard
       deviation.  Zero dispersion gives 0.
     - ``none``: the series unchanged.
@@ -275,7 +276,9 @@ def normalize(
         top = np.empty(l)
         for lo, block in _window_blocks(values, w, -np.inf):
             top[lo : lo + block.shape[0]] = block.max(axis=1)
-        np.divide(values, top, out=out, where=top != 0.0)
+        # a subnormal maximum overflows the ratio to +-inf, which is kept
+        with np.errstate(over="ignore"):
+            np.divide(values, top, out=out, where=top != 0.0)
     else:  # zscore
         # a padded mean/std would sum in another order, so this stays a loop
         width = _window_width(w, l)

@@ -26,7 +26,7 @@ from .core import (
     TAG_SIMULATION,
     derive_replicate_rng,
 )
-from .estimator import estimate_delay
+from .estimator import _pool, estimate_delay
 
 __all__ = [
     "SimSpec",
@@ -238,7 +238,8 @@ def run_batch(
     each one; the cell aggregates the mean and standard deviation of the
     per-pair bootstrap spread ``sigma_hat`` and of the per-pair MAE.  Data
     seeds depend only on (lag, noise, replicate), so cells differing only
-    in method or window are evaluated on identical data.
+    in method or window are evaluated on identical data.  With more than
+    one worker, every estimate shares one process pool.
 
     Returns
     -------
@@ -250,55 +251,56 @@ def run_batch(
         raise InvalidArgumentError(f"replicates must be >= 1: got {replicates}")
 
     cells = []
-    for (li, u0), (ni, noise) in product(enumerate(lags), enumerate(noises)):
-        pair_cache = {}
-        for rep in range(replicates):
-            seed = _pair_seed(base_config.seed, li, ni, rep)
-            spec = SimSpec(
-                u0=int(u0), noise_sigma=float(noise), length=length, seed=seed
-            )
-            pair_cache[rep] = (generate_pair(spec), seed)
-        for method, window in product(methods, windows):
-            sigma_hats, maes, failures = [], [], []
+    with _pool(workers):
+        for (li, u0), (ni, noise) in product(enumerate(lags), enumerate(noises)):
+            pair_cache = {}
             for rep in range(replicates):
-                (src, tgt), seed = pair_cache[rep]
-                try:
-                    config = base_config.with_overrides(
-                        norm_method=method, window=window, seed=seed
+                seed = _pair_seed(base_config.seed, li, ni, rep)
+                spec = SimSpec(
+                    u0=int(u0), noise_sigma=float(noise), length=length, seed=seed
+                )
+                pair_cache[rep] = (generate_pair(spec), seed)
+            for method, window in product(methods, windows):
+                sigma_hats, maes, failures = [], [], []
+                for rep in range(replicates):
+                    (src, tgt), seed = pair_cache[rep]
+                    try:
+                        config = base_config.with_overrides(
+                            norm_method=method, window=window, seed=seed
+                        )
+                        sample = estimate_delay(src, tgt, config, workers=workers)
+                    except InvalidArgumentError as exc:
+                        failures.append(f"replicate {rep}: {exc}")
+                        continue
+                    sigma_hats.append(np.sqrt(sample.sigma2_hat))
+                    maes.append(mae(sample.lags, int(u0)))
+                if sigma_hats:
+                    cell = BatchCell(
+                        u0=int(u0),
+                        noise_sigma=float(noise),
+                        method=method,
+                        window=window,
+                        replicates=len(sigma_hats),
+                        mean_sigma_hat=float(np.mean(sigma_hats)),
+                        std_sigma_hat=float(np.std(sigma_hats)),
+                        mean_mae=float(np.mean(maes)),
+                        std_mae=float(np.std(maes)),
+                        failures=tuple(failures),
                     )
-                    sample = estimate_delay(src, tgt, config, workers=workers)
-                except InvalidArgumentError as exc:
-                    failures.append(f"replicate {rep}: {exc}")
-                    continue
-                sigma_hats.append(np.sqrt(sample.sigma2_hat))
-                maes.append(mae(sample.lags, int(u0)))
-            if sigma_hats:
-                cell = BatchCell(
-                    u0=int(u0),
-                    noise_sigma=float(noise),
-                    method=method,
-                    window=window,
-                    replicates=len(sigma_hats),
-                    mean_sigma_hat=float(np.mean(sigma_hats)),
-                    std_sigma_hat=float(np.std(sigma_hats)),
-                    mean_mae=float(np.mean(maes)),
-                    std_mae=float(np.std(maes)),
-                    failures=tuple(failures),
-                )
-            else:
-                cell = BatchCell(
-                    u0=int(u0),
-                    noise_sigma=float(noise),
-                    method=method,
-                    window=window,
-                    replicates=0,
-                    mean_sigma_hat=float("nan"),
-                    std_sigma_hat=float("nan"),
-                    mean_mae=float("nan"),
-                    std_mae=float("nan"),
-                    failures=tuple(failures),
-                )
-            cells.append(cell)
+                else:
+                    cell = BatchCell(
+                        u0=int(u0),
+                        noise_sigma=float(noise),
+                        method=method,
+                        window=window,
+                        replicates=0,
+                        mean_sigma_hat=float("nan"),
+                        std_sigma_hat=float("nan"),
+                        mean_mae=float("nan"),
+                        std_mae=float("nan"),
+                        failures=tuple(failures),
+                    )
+                cells.append(cell)
     return BatchReport(
         cells=tuple(cells), config=base_config, replicates=replicates
     )

@@ -31,3 +31,21 @@ def road_csv_text(roads, length, start="2024-03-01T05:00:00", jitter_seed=0):
 def sim_pair():
     """The default synthetic pair: true delay 10, noise 1, length 120."""
     return generate_pair(SimSpec(u0=10, noise_sigma=1.0, length=120, seed=0))
+
+
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """Record the worker count of every process pool lagte starts in a test."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    from lagte import estimator
+
+    starts = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            starts.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(estimator, "ProcessPoolExecutor", CountingPool)
+    return starts

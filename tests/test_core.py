@@ -112,6 +112,30 @@ class TestPipelineConfig:
         with pytest.raises(InvalidArgumentError):
             PipelineConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(lag_max=30.0),
+            dict(lag_min=1.0),
+            dict(boot_reps=2.5),
+            dict(shuffle_reps=5.0),
+            dict(residual_states=10.0),
+            dict(trend_order=2.0),
+            dict(encode_bins=3.0),
+            dict(window=True),
+            dict(boot_reps=True),
+            dict(seed=1.5),
+        ],
+    )
+    def test_rejects_non_integer(self, kwargs):
+        # each would otherwise fail later with a TypeError, or run with a bool
+        with pytest.raises(InvalidArgumentError, match=next(iter(kwargs))):
+            PipelineConfig(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        config = PipelineConfig(boot_reps=np.int64(4), lag_max=np.int32(12))
+        assert (config.boot_reps, config.lag_max) == (4, 12)
+
     def test_validate_for_length(self):
         c = PipelineConfig()
         c.validate_for_length(120)

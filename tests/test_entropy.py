@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from lagte import (
     InvalidArgumentError,
+    PipelineConfig,
     best_lag,
     effective_transfer_entropy,
     shannon_entropy,
     transfer_entropy,
 )
-from lagte.entropy import _as_codes, _scan_lags, _te_from_counts
+from lagte.entropy import _as_codes, _scan_lags, _te_from_counts, best_lags
 from conftest import fast_config
 
 
@@ -243,6 +244,49 @@ class TestScanLags:
         assert rng_fused.random() == rng_loop.random()
         for row, u in zip(got, lags):
             assert row[0] == pytest.approx(te_oracle(src, tgt, int(u)), abs=1e-12)
+
+
+class TestBestLags:
+    @given(
+        data=st.data(),
+        length=st.integers(min_value=4, max_value=60),
+        n_targets=st.integers(min_value=1, max_value=4),
+        shuffles=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equals_per_target_best_lag(self, data, length, n_targets, shuffles, seed):
+        symbols = st.lists(
+            st.integers(min_value=1, max_value=4), min_size=length, max_size=length
+        )
+        source = data.draw(symbols)
+        targets = [data.draw(symbols) for _ in range(n_targets)]
+        lag_max = data.draw(st.integers(min_value=1, max_value=length - 2))
+        lag_min = data.draw(st.integers(min_value=1, max_value=lag_max))
+        config = PipelineConfig(
+            lag_min=lag_min, lag_max=lag_max, shuffle_reps=shuffles
+        )
+        rng_shared = np.random.default_rng(seed)
+        picks = best_lags(source, targets, config, rng_shared)
+        assert len(picks) == n_targets
+        for target, (got_lag, got) in zip(targets, picks):
+            rng_own = np.random.default_rng(seed)
+            want_lag, want = best_lag(source, target, config, rng_own)
+            assert got_lag == want_lag
+            for field in ("lags", "te", "ete", "shuffle_mean"):
+                got_bytes = np.array(getattr(got, field)).tobytes()
+                assert got_bytes == np.array(getattr(want, field)).tobytes()
+            # the shared scan drew exactly what one best_lag call draws
+            assert rng_shared.bit_generator.state == rng_own.bit_generator.state
+
+    def test_rejects_bad_targets(self):
+        source = np.ones(20, dtype=int)
+        config = fast_config(lag_max=5)
+        rng = np.random.default_rng(0)
+        with pytest.raises(InvalidArgumentError, match="at least one"):
+            best_lags(source, [], config, rng)
+        with pytest.raises(InvalidArgumentError, match="lengths differ"):
+            best_lags(source, [source, np.ones(19, dtype=int)], config, rng)
 
 
 class TestBestLag:

@@ -6,12 +6,15 @@ import pytest
 from lagte import (
     InvalidArgumentError,
     LagSample,
+    LagTEError,
+    SpeedSeries,
     estimate_delay,
     functionals,
     grid_search,
     lemma1_interval,
 )
 from lagte.core import FULL_WINDOW
+from lagte.estimator import estimate_delays
 from conftest import fast_config
 
 
@@ -93,6 +96,58 @@ class TestEstimateDelay:
     def test_rejects_short_series(self):
         with pytest.raises(InvalidArgumentError):
             estimate_delay(np.ones(10), np.ones(10), fast_config(lag_max=12))
+
+
+class TestEstimateDelays:
+    def test_each_pair_equals_its_own_estimate(self, sim_pair):
+        source, target = sim_pair
+        other = SpeedSeries(target.values[::-1])
+        short = SpeedSeries(target.values[:100])
+        config = fast_config(boot_reps=5)
+        # two targets share the source, one repeats, one fails on its own,
+        # and one pair runs the other way round
+        pairs = [
+            (source, target),
+            (source, other),
+            (source, target),
+            (source, short),
+            (target, source),
+        ]
+        for workers in (1, 2):
+            got = estimate_delays(pairs, config, workers=workers)
+            for (src, tgt), outcome in zip(pairs, got):
+                try:
+                    want = estimate_delay(src, tgt, config, return_details=True)
+                except LagTEError as exc:
+                    assert isinstance(outcome, type(exc))
+                    assert str(outcome) == str(exc)
+                    continue
+                assert outcome == want
+        assert "lengths differ" in str(got[3])
+
+    def test_array_pairs_accepted(self, sim_pair):
+        source, target = sim_pair
+        config = fast_config(boot_reps=3)
+        (got,) = estimate_delays([(source.values, target.values)], config)
+        assert got == estimate_delay(source, target, config, return_details=True)
+
+
+class TestOnePoolPerCall:
+    def test_estimate_delay(self, sim_pair, pool_starts):
+        estimate_delay(*sim_pair, fast_config(boot_reps=4), workers=2)
+        assert pool_starts == [2]
+
+    def test_grid_search(self, sim_pair, pool_starts):
+        config = fast_config(boot_reps=4, shuffle_reps=3)
+        grid_search(*sim_pair, config, [80, 120], [20, FULL_WINDOW], workers=2)
+        assert pool_starts == [2]
+
+    def test_serial_starts_none(self, sim_pair, pool_starts):
+        config = fast_config(boot_reps=4, shuffle_reps=3)
+        estimate_delay(*sim_pair, config, workers=1)
+        estimate_delay(*sim_pair, config)
+        grid_search(*sim_pair, config, [80, 120], [20], workers=1)
+        assert pool_starts == []
 
 
 def _stub_for_scores(score_by_window, reps=100):
@@ -180,6 +235,13 @@ class TestGridSearch:
         source, target = sim_pair
         with pytest.raises(InvalidArgumentError):
             grid_search(source, target, fast_config(), [500], [20])
+
+    def test_parallel_matches_serial(self, sim_pair):
+        source, target = sim_pair
+        config = fast_config(boot_reps=4, shuffle_reps=3)
+        args = (source, target, config, [80, 120], [20, FULL_WINDOW, 200])
+        serial = grid_search(*args, workers=1)
+        assert serial.skipped and serial == grid_search(*args, workers=2)
 
     def test_real_small_run_is_deterministic(self, sim_pair):
         source, target = sim_pair

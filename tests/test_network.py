@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import warnings
 from datetime import datetime
 
 import numpy as np
@@ -11,12 +12,14 @@ import pytest
 from lagte import (
     DataError,
     InvalidArgumentError,
+    LagTEError,
     ParseError,
     PipelineConfig,
     RoadNetworkInput,
     SpeedSeries,
     analyze_paths,
     emit_report,
+    estimate_delay,
     extract_incident_window,
     load_path_spec,
     load_speed_csv,
@@ -307,6 +310,25 @@ def _chain_network(length=120, with_constant=False):
 FAST_KW = dict(before_minutes=20, after_minutes=40)
 
 
+def _network_with_failing_hop():
+    """The constant-road chain plus road E, sampled every 2 minutes.
+
+    E's incident window holds half as many samples as the others, so every
+    hop into or out of E fails on its own while the other hops complete.
+    """
+    chain = _chain_network(with_constant=True)
+    a = chain.series["A"]
+    series = dict(chain.series)
+    series["E"] = SpeedSeries(
+        a.values[::2], period=2.0, start_time=a.start_time, label="E"
+    )
+    return RoadNetworkInput(
+        series=series,
+        incident=chain.incident,
+        paths=(("A", "B", "C"), ("A", "E", "B"), ("A", "C")),
+    )
+
+
 class TestAnalyzePaths:
     def test_recovers_chain_lag(self):
         net = _chain_network()
@@ -364,6 +386,55 @@ class TestAnalyzePaths:
             **FAST_KW,
         )
         assert [h.source for h in reports[0].hops] == ["A", "B"]
+
+    @pytest.mark.parametrize("consecutive", [False, True])
+    def test_each_hop_equals_its_own_estimate(self, consecutive):
+        net = _network_with_failing_hop()
+        config = fast_config(lag_max=8, window=10)
+        _, when = net.incident
+        reports = analyze_paths(net, config, consecutive=consecutive, **FAST_KW)
+        errors = 0
+        for hop in (h for r in reports for h in r.hops):
+            source, target = (
+                extract_incident_window(net.series[road], when, **FAST_KW)
+                for road in (hop.source, hop.target)
+            )
+            try:
+                want = estimate_delay(source, target, config)
+            except LagTEError as exc:
+                assert hop.sample is None and hop.error == str(exc)
+                errors += 1
+                continue
+            assert hop.error is None and hop.sample == want
+        assert errors == (2 if consecutive else 1)
+        assert "lengths differ" in reports[1].hops[0].error
+
+    @pytest.mark.parametrize("consecutive", [False, True])
+    def test_parallel_matches_serial(self, consecutive):
+        net = _network_with_failing_hop()
+        config = fast_config(lag_max=8, window=10)
+        kw = dict(consecutive=consecutive, **FAST_KW)
+        serial = analyze_paths(net, config, workers=1, **kw)
+        assert serial == analyze_paths(net, config, workers=2, **kw)
+
+    def test_one_pool_per_call(self, pool_starts):
+        net = _network_with_failing_hop()
+        config = fast_config(boot_reps=3, lag_max=8, window=10)
+        analyze_paths(net, config, workers=1, **FAST_KW)
+        assert pool_starts == []
+        analyze_paths(net, config, workers=2, consecutive=True, **FAST_KW)
+        assert pool_starts == [2]
+
+    @pytest.mark.parametrize("consecutive", [False, True])
+    def test_constant_road_warns_once_per_call(self, consecutive):
+        # C is the target of two hops, and in consecutive mode never a source
+        net = _network_with_failing_hop()
+        config = fast_config(lag_max=8, window=10)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            analyze_paths(net, config, consecutive=consecutive, **FAST_KW)
+        messages = [str(w.message) for w in caught]
+        assert sum("distinct residual values" in m for m in messages) == 1
 
     def test_deterministic(self):
         net = _chain_network()

@@ -134,6 +134,19 @@ class TestRunBatch:
         assert len(lines) == 2
         assert out.read_text() == text
 
+    def test_parallel_matches_serial(self):
+        config = fast_config(boot_reps=3, shuffle_reps=2)
+        args = ([5, 10], [1.0], ["none", "nonlinear"], [20], 2, config)
+        assert run_batch(*args, workers=1) == run_batch(*args, workers=2)
+
+    def test_one_pool_per_call(self, pool_starts):
+        config = fast_config(boot_reps=3, shuffle_reps=2)
+        args = ([5, 10], [1.0], ["none"], [20], 2, config)
+        run_batch(*args, workers=1)
+        assert pool_starts == []
+        run_batch(*args, workers=2)
+        assert pool_starts == [2]
+
     def test_rejects_empty_grid(self):
         with pytest.raises(InvalidArgumentError):
             run_batch([], [1.0], ["none"], [20], 1, fast_config())
