@@ -19,7 +19,11 @@ With several workers, one process pool serves the outermost public call.
 
 Grid search evaluates the pipeline over candidate observation lengths and
 normalization windows and picks the cell with the smallest variance ratio,
-the configuration under which the delay estimate is most stable.
+the configuration under which the delay estimate is most stable.  Cells
+of one length differ only in the window, so they share the decomposition,
+the fits and, per replicate, the bootstrap walks of both series; each
+window normalizes, encodes and scans those walks with its own shuffle
+stream.  All cells' replicates go to the pool before any is gathered.
 """
 
 from __future__ import annotations
@@ -112,8 +116,29 @@ def _as_series(series, name: str) -> SpeedSeries:
         raise InvalidArgumentError(f"{name}: {exc}") from exc
 
 
-def _encode_for_method(normalized: np.ndarray, config: PipelineConfig):
-    """Code a normalized series with the cutoff semantics of its method.
+def _fit(series: SpeedSeries, config: PipelineConfig):
+    """Decompose a series and fit its residual chain: ``(trend, model)``."""
+    decomp = decompose(series, config.trend_order)
+    return decomp.trend, fit_markov(decomp.residual, config.residual_states)
+
+
+def _walk(trend, model, seed: int, b: int, tag: int):
+    """Replicate ``b`` of a series' bootstrap walk: ``(values, restarts)``,
+    or the ``LagTEError`` the walk raised."""
+    diagnostics = {}
+    try:
+        rng = derive_replicate_rng(seed, b, tag)
+        boot = sample_bootstrap_series(
+            model, trend, trend.size, rng, diagnostics=diagnostics
+        )
+    except LagTEError as exc:
+        return exc
+    return boot.values, diagnostics["restarts"]
+
+
+def _code(walk, config: PipelineConfig):
+    """Normalize and code a walk under a config: ``(symbols, restarts)``,
+    or the ``LagTEError`` of the walk or of its coding.
 
     Normalizers place their output on a calibrated scale (the nonlinear
     method yields CDF values in (0, 1)), so the configured cutoffs act as
@@ -121,71 +146,83 @@ def _encode_for_method(normalized: np.ndarray, config: PipelineConfig):
     bootstrap replicate.  Without normalization the raw scale is arbitrary
     and the cutoffs act as empirical quantile probabilities instead.
     """
-    if config.norm_method == "none":
-        return encode(normalized, config.encode_bins, config.encode_quantiles)
-    return encode_fixed(normalized, config.encode_quantiles)
-
-
-def _replicate_symbols(trend, model, config: PipelineConfig, rng):
-    """One bootstrap replicate of a series, coded; returns (symbols, restarts)."""
-    diagnostics = {}
-    boot = sample_bootstrap_series(
-        model, trend, trend.size, rng, diagnostics=diagnostics
-    )
-    normalized = normalize(boot.values, config.norm_method, config.window)
-    return _encode_for_method(normalized, config), diagnostics["restarts"]
+    if isinstance(walk, LagTEError):
+        return walk
+    values, restarts = walk
+    try:
+        normalized = normalize(values, config.norm_method, config.window)
+        if config.norm_method == "none":
+            symbols = encode(normalized, config.encode_bins, config.encode_quantiles)
+        else:
+            symbols = encode_fixed(normalized, config.encode_quantiles)
+    except LagTEError as exc:
+        return exc
+    return symbols, restarts
 
 
 def _run_replicates(
     source: Tuple[np.ndarray, MarkovModel],
     targets: Tuple[Tuple[np.ndarray, MarkovModel], ...],
-    config: PipelineConfig,
+    configs: Tuple[PipelineConfig, ...],
     indices: Sequence[int],
 ) -> list:
-    """Run a block of bootstrap replicates of one source against each target.
+    """Run a block of bootstrap replicates of one source against each target,
+    under each config.
 
     ``source`` and every target are ``(trend, model)`` pairs of equal
-    length.  Per replicate the source is walked, normalized and encoded
-    once, each target gets its own walk, and one ``best_lags`` call shares
-    the source's shuffled surrogates among all targets.  Returns, per
-    target, its ``(lag, best_ete, restarts)`` rows in ``indices`` order
-    and either None or ``(index, error)`` for the first replicate where
-    it failed.  A failed target is skipped from then on; a failure of the
-    source or of the shared scan fails every target still running.
+    length.  The configs share ``seed`` and differ only in how a walk is
+    normalized and coded (the windows of a grid search).  Per replicate
+    the source and each target are walked once for all configs; under
+    each config the source walk is normalized and encoded once, and one
+    ``best_lags`` call with that config's shuffle stream shares the
+    source's surrogates among all targets.  Returns, per (config, target)
+    in config-major order, its ``(lag, best_ete, restarts)`` rows in
+    ``indices`` order and either None or ``(index, error)`` for the first
+    replicate where it failed, the error of the first failing step of
+    ``estimate_delay``'s order (source, then target, then scan).  A
+    failed outcome is skipped from then on.
     """
-    rows = [[] for _ in targets]
-    failed = [None] * len(targets)
+    n = len(targets)
+    rows = [[] for _ in range(len(configs) * n)]
+    failed = [None] * len(rows)
+    seed = configs[0].seed
     for b in indices:
-        live = [k for k, f in enumerate(failed) if f is None]
-        if not live:
+        if all(f is not None for f in failed):
             break
-        try:
-            rng_src = derive_replicate_rng(config.seed, b, TAG_SOURCE_BOOT)
-            sym_src, restarts_src = _replicate_symbols(*source, config, rng_src)
-        except LagTEError as exc:
-            for k in live:
-                failed[k] = (b, exc)
-            break
-        coded = {}
-        for k in live:
+        src_walk = _walk(*source, seed, b, TAG_SOURCE_BOOT)
+        tgt_walks = {}
+        for c, config in enumerate(configs):
+            live = [i for i in range(c * n, (c + 1) * n) if failed[i] is None]
+            if not live:
+                continue
+            src = _code(src_walk, config)
+            if isinstance(src, LagTEError):
+                for i in live:
+                    failed[i] = (b, src)
+                continue
+            coded = {}
+            for i in live:
+                k = i % n
+                if k not in tgt_walks:
+                    tgt_walks[k] = _walk(*targets[k], seed, b, TAG_TARGET_BOOT)
+                tgt = _code(tgt_walks[k], config)
+                if isinstance(tgt, LagTEError):
+                    failed[i] = (b, tgt)
+                else:
+                    coded[i] = tgt
+            if not coded:
+                continue
             try:
-                rng_tgt = derive_replicate_rng(config.seed, b, TAG_TARGET_BOOT)
-                coded[k] = _replicate_symbols(*targets[k], config, rng_tgt)
+                rng_shuffle = derive_replicate_rng(config.seed, b, TAG_SHUFFLE)
+                picks = best_lags(
+                    src[0], [sym for sym, _ in coded.values()], config, rng_shuffle
+                )
             except LagTEError as exc:
-                failed[k] = (b, exc)
-        if not coded:
-            continue
-        try:
-            rng_shuffle = derive_replicate_rng(config.seed, b, TAG_SHUFFLE)
-            picks = best_lags(
-                sym_src, [sym for sym, _ in coded.values()], config, rng_shuffle
-            )
-        except LagTEError as exc:
-            for k in coded:
-                failed[k] = (b, exc)
-            continue
-        for (k, (_, restarts_tgt)), (u_hat, profile) in zip(coded.items(), picks):
-            rows[k].append((u_hat, max(profile.ete), restarts_src + restarts_tgt))
+                for i in coded:
+                    failed[i] = (b, exc)
+                continue
+            for (i, (_, restarts_tgt)), (u_hat, profile) in zip(coded.items(), picks):
+                rows[i].append((u_hat, max(profile.ete), src[1] + restarts_tgt))
     return list(zip(rows, failed))
 
 
@@ -216,45 +253,45 @@ def _pool(workers: Optional[int]):
                 _ACTIVE_POOL.reset(token)
 
 
-def _start_replicates(pool, workers, source, targets, config) -> list:
-    """Start every replicate of one source against its targets.
+def _start_replicates(pool, workers, source, targets, configs) -> list:
+    """Start every replicate of one source against its targets under its configs.
 
     Returns ``(indices, future)`` per block of replicates.  A serial run
     computes its one block at once.  Blocks interleave the replicate
     indices, so every worker gets a share of each part of the sequence.
     """
-    indices = range(config.boot_reps)
+    indices = range(configs[0].boot_reps)
     if pool is None:
         done = Future()
-        done.set_result(_run_replicates(source, targets, config, indices))
+        done.set_result(_run_replicates(source, targets, configs, indices))
         return [(indices, done)]
     blocks = [indices[i :: workers * 4] for i in range(workers * 4)]
     return [
-        (block, pool.submit(_run_replicates, source, targets, config, block))
+        (block, pool.submit(_run_replicates, source, targets, configs, block))
         for block in blocks
         if block
     ]
 
 
-def _gather_replicates(blocks, n_targets: int, level: float) -> list:
-    """Per target, ``(LagSample, EstimateDetails)`` or the ``LagTEError`` it raised.
+def _gather_replicates(blocks, n_outcomes: int, level: float) -> list:
+    """Per (config, target), ``(LagSample, EstimateDetails)`` or its ``LagTEError``.
 
-    A target that failed reports the error of its earliest failing
-    replicate, whatever the blocks were.
+    A failed outcome reports the error of its earliest failing replicate,
+    whatever the blocks were.
     """
-    rows = [{} for _ in range(n_targets)]
-    failures = [[] for _ in range(n_targets)]
+    rows = [{} for _ in range(n_outcomes)]
+    failures = [[] for _ in range(n_outcomes)]
     for indices, future in blocks:
-        for k, (block_rows, failure) in enumerate(future.result()):
-            rows[k].update(zip(indices, block_rows))
+        for i, (block_rows, failure) in enumerate(future.result()):
+            rows[i].update(zip(indices, block_rows))
             if failure is not None:
-                failures[k].append(failure)
+                failures[i].append(failure)
     out = []
-    for k in range(n_targets):
-        if failures[k]:
-            out.append(min(failures[k], key=lambda f: f[0])[1])
+    for i in range(n_outcomes):
+        if failures[i]:
+            out.append(min(failures[i], key=lambda f: f[0])[1])
             continue
-        ordered = [rows[k][b] for b in sorted(rows[k])]
+        ordered = [rows[i][b] for b in sorted(rows[i])]
         lags = tuple(int(r[0]) for r in ordered)
         details = EstimateDetails(
             lags=lags,
@@ -263,6 +300,21 @@ def _gather_replicates(blocks, n_targets: int, level: float) -> list:
         )
         out.append((LagSample.from_lags(lags, level=level), details))
     return out
+
+
+def _run_groups(groups, workers: Optional[int], level: float) -> list:
+    """Run every group's replicates in one pool, submitting all before gathering.
+
+    Each group is ``(source fit, target fits, configs)``, the arguments of
+    ``_run_replicates``.  Returns, per group, its outcomes per (config,
+    target) in config-major order.
+    """
+    with _pool(workers) as pool:
+        started = [_start_replicates(pool, workers, *group) for group in groups]
+        return [
+            _gather_replicates(blocks, len(targets) * len(configs), level)
+            for blocks, (_, targets, configs) in zip(started, groups)
+        ]
 
 
 def estimate_delays(
@@ -291,9 +343,7 @@ def estimate_delays(
 
     def fit(key, series):
         if id(key) not in fitted:
-            decomp = decompose(series, config.trend_order)
-            model = fit_markov(decomp.residual, config.residual_states)
-            fitted[id(key)] = (decomp.trend, model)
+            fitted[id(key)] = _fit(series, config)
         return fitted[id(key)]
 
     groups = {}  # id(source) -> (source fit, {id(target): (target fit, pair indices)})
@@ -313,16 +363,18 @@ def estimate_delays(
         _, targets = groups.setdefault(id(source), (src_fit, {}))
         targets.setdefault(id(target), (tgt_fit, []))[1].append(i)
 
-    with _pool(workers) as pool:
-        started = []
-        for src_fit, targets in groups.values():
-            fits = tuple(tgt_fit for tgt_fit, _ in targets.values())
-            started.append(_start_replicates(pool, workers, src_fit, fits, config))
-        for (_, targets), blocks in zip(groups.values(), started):
-            outcomes = _gather_replicates(blocks, len(targets), level)
-            for (_, members), outcome in zip(targets.values(), outcomes):
-                for i in members:
-                    results[i] = outcome
+    outcomes = _run_groups(
+        [
+            (src_fit, tuple(tgt_fit for tgt_fit, _ in targets.values()), (config,))
+            for src_fit, targets in groups.values()
+        ],
+        workers,
+        level,
+    )
+    for (_, targets), group_outcomes in zip(groups.values(), outcomes):
+        for (_, members), outcome in zip(targets.values(), group_outcomes):
+            for i in members:
+                results[i] = outcome
     return results
 
 
@@ -347,7 +399,7 @@ def estimate_delay(
     workers : int, optional
         Process count for replicate evaluation.  ``None`` or 1 runs
         serially; results are identical either way.  A call made inside
-        ``grid_search`` or ``run_batch`` shares their pool.
+        another public call, such as ``run_batch``, shares its pool.
     level : float
         Confidence level of the reported interval.
     return_details : bool
@@ -365,6 +417,36 @@ def estimate_delay(
 
 def _window_sort_key(window) -> float:
     return math.inf if window == FULL_WINDOW else float(window)
+
+
+def _grid_outcomes(src: SpeedSeries, tgt: SpeedSeries, cells, workers) -> dict:
+    """Evaluate every valid grid cell in one pass; returns cell index -> outcome.
+
+    Cells of one length form a group: both tails are decomposed and fitted
+    once, and per replicate each is walked once for all the group's
+    windows (``_run_replicates``).  Every group shares one pool.  Each
+    outcome equals ``estimate_delay(src.tail(length), tgt.tail(length),
+    config, return_details=True)`` or the ``LagTEError`` it would raise; a
+    failed fit fails every cell of its length.
+    """
+    by_length = {}  # length -> indices of its valid cells
+    for i, (cell, config) in enumerate(cells):
+        if isinstance(config, PipelineConfig):
+            by_length.setdefault(cell[0], []).append(i)
+    outcomes, groups, members = {}, [], []
+    for length, indices in by_length.items():
+        configs = tuple(cells[i][1] for i in indices)
+        try:
+            src_fit = _fit(src.tail(length), configs[0])
+            tgt_fit = _fit(tgt.tail(length), configs[0])
+        except LagTEError as exc:
+            outcomes.update(dict.fromkeys(indices, exc))
+            continue
+        groups.append((src_fit, (tgt_fit,), configs))
+        members.append(indices)
+    for indices, group in zip(members, _run_groups(groups, workers, level=0.95)):
+        outcomes.update(zip(indices, group))
+    return outcomes
 
 
 def grid_search(
@@ -391,12 +473,14 @@ def grid_search(
     length_grid : sequence of int
     window_grid : sequence of int or "full"
     workers : int, optional
-        Forwarded to each cell's estimation; with more than one, every
-        cell shares one process pool.
+        Process count; with more than one, every cell shares one process
+        pool.  Results are identical either way.
     estimate_fn : callable, optional
         Replacement for the cell evaluator with the same signature as
-        ``estimate_delay(source, target, config, workers=...)``; intended
-        for diagnostics and tests.
+        ``estimate_delay(source, target, config, workers=...)``, called
+        once per valid cell; intended for diagnostics and tests.  Without
+        it, cells of one length share their fits and walks, and each cell
+        gets exactly what ``estimate_delay`` would give it.
 
     Returns
     -------
@@ -406,33 +490,45 @@ def grid_search(
         raise InvalidArgumentError("length and window grids must be nonempty")
     src = _as_series(source, "source")
     tgt = _as_series(target, "target")
-    runner = estimate_fn if estimate_fn is not None else estimate_delay
+
+    cells = []  # (cell, its config or the InvalidArgumentError it failed with)
+    for length in length_grid:
+        for window in window_grid:
+            cell = (int(length), window if window == FULL_WINDOW else int(window))
+            try:
+                if length > len(src) or length > len(tgt):
+                    raise InvalidArgumentError(
+                        f"length {length} exceeds available samples "
+                        f"{min(len(src), len(tgt))}"
+                    )
+                config = base_config.with_overrides(window=cell[1])
+                config.validate_for_length(cell[0])
+            except InvalidArgumentError as exc:
+                config = exc
+            cells.append((cell, config))
 
     grid, scores, samples, skipped = [], [], [], []
     with _pool(workers):
-        for length in length_grid:
-            for window in window_grid:
-                cell = (int(length), window if window == FULL_WINDOW else int(window))
-                try:
-                    if length > len(src) or length > len(tgt):
-                        raise InvalidArgumentError(
-                            f"length {length} exceeds available samples "
-                            f"{min(len(src), len(tgt))}"
-                        )
-                    config = base_config.with_overrides(window=cell[1])
-                    config.validate_for_length(int(length))
-                    sample = runner(
-                        src.tail(int(length)),
-                        tgt.tail(int(length)),
-                        config,
-                        workers=workers,
+        if estimate_fn is None:
+            shared = _grid_outcomes(src, tgt, cells, workers)
+        for i, (cell, config) in enumerate(cells):
+            try:
+                if isinstance(config, InvalidArgumentError):
+                    raise config
+                if estimate_fn is None:
+                    if isinstance(shared[i], LagTEError):
+                        raise shared[i]
+                    sample = shared[i][0]
+                else:
+                    sample = estimate_fn(
+                        src.tail(cell[0]), tgt.tail(cell[0]), config, workers=workers
                     )
-                except InvalidArgumentError as exc:
-                    skipped.append((cell, str(exc)))
-                    continue
-                grid.append(cell)
-                scores.append(sample.sigma2_hat / sample.n_reps)
-                samples.append(sample)
+            except InvalidArgumentError as exc:
+                skipped.append((cell, str(exc)))
+                continue
+            grid.append(cell)
+            scores.append(sample.sigma2_hat / sample.n_reps)
+            samples.append(sample)
 
     if not grid:
         reasons = "; ".join(f"{c}: {r}" for c, r in skipped)

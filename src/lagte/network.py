@@ -135,6 +135,10 @@ class PathReport:
     config: PipelineConfig
 
 
+def _awareness(ts: datetime) -> str:
+    return "naive" if ts.utcoffset() is None else "tz-aware"
+
+
 def load_speed_csv(
     path,
     max_gap_minutes: float = 10.0,
@@ -151,13 +155,15 @@ def load_speed_csv(
     Raises
     ------
     ParseError
-        Malformed row (wrong column count, bad timestamp, bad speed), with
-        the 1-based line number.
+        Malformed row (wrong column count, bad timestamp, bad speed, or a
+        timestamp naive where the first data row's is tz-aware or the
+        reverse), with the 1-based line number.
     DataError
         Duplicate ``(timestamp, road_id)`` pair, non-monotone or off-grid
         timestamps, over-long gap, or no data rows.
     """
     rows: Dict[str, list] = {}
+    first_ts = None
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -181,6 +187,14 @@ def load_speed_csv(
                 ts = datetime.fromisoformat(raw_ts)
             except ValueError:
                 raise ParseError(f"bad timestamp {raw_ts!r}", line=lineno)
+            if first_ts is None:
+                first_ts = ts
+            elif _awareness(ts) != _awareness(first_ts):
+                raise ParseError(
+                    f"timestamp {raw_ts!r} is {_awareness(ts)} but the first "
+                    f"data row's {first_ts.isoformat()!r} is {_awareness(first_ts)}",
+                    line=lineno,
+                )
             if not road:
                 raise ParseError("empty road_id", line=lineno)
             try:
@@ -250,12 +264,20 @@ def extract_incident_window(
     Raises
     ------
     DataError
-        Series without a start time, incident off the sampling grid, or
-        coverage falling short of the window on either side (the message
-        names the shortfall).
+        Series without a start time, an incident time and a start time
+        of which one is tz-aware and the other naive (the message names
+        both), incident off the sampling grid, or coverage falling short
+        of the window on either side (the message names the shortfall).
     """
     if series.start_time is None:
         raise DataError("series has no start time; cannot locate the incident")
+    if _awareness(incident_time) != _awareness(series.start_time):
+        raise DataError(
+            f"incident time {incident_time.isoformat()} is "
+            f"{_awareness(incident_time)} but the start "
+            f"{series.start_time.isoformat()} of {series.label or 'series'} "
+            f"is {_awareness(series.start_time)}; they cannot be compared"
+        )
     if before_minutes < 0 or after_minutes < 0:
         raise InvalidArgumentError("window extents must be nonnegative")
     offset = (incident_time - series.start_time).total_seconds() / 60.0

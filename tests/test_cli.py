@@ -16,12 +16,12 @@ def _speed_csv(tmp_path, length=80):
     return str(path)
 
 
-def _paths_json(tmp_path):
+def _paths_json(tmp_path, time="2024-03-01T05:30:00"):
     path = tmp_path / "paths.json"
     path.write_text(
         json.dumps(
             {
-                "incident": {"road": "A", "time": "2024-03-01T05:30:00"},
+                "incident": {"road": "A", "time": time},
                 "paths": [["A", "B"]],
             }
         )
@@ -174,3 +174,15 @@ class TestPathAnalyzeCommand:
         assert lines[0].startswith("# config ")
         assert lines[1].startswith("path,hop,source,target")
         assert len(lines) == 3
+
+    def test_offset_incident_time_with_naive_csv_reports_hop_error(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "report.json"
+        spec = _paths_json(tmp_path, time="2024-03-01T05:30:00+01:00")
+        args = ["path-analyze", "--csv", _speed_csv(tmp_path), "--paths", spec,
+                "--before", "20", "--after", "40", "--out", str(out)] + FAST
+        main(args)
+        (hop,) = json.loads(out.read_text())["reports"][0]["hops"]
+        assert "2024-03-01T05:30:00+01:00" in hop["error"]
+        assert "2024-03-01T05:00:00" in hop["error"]

@@ -1,9 +1,12 @@
 """Bootstrap delay estimation, summary functionals, and grid search."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from lagte import (
+    DataError,
     InvalidArgumentError,
     LagSample,
     LagTEError,
@@ -14,6 +17,7 @@ from lagte import (
     lemma1_interval,
 )
 from lagte.core import FULL_WINDOW
+from lagte import estimator
 from lagte.estimator import estimate_delays
 from conftest import fast_config
 
@@ -250,3 +254,95 @@ class TestGridSearch:
         b = grid_search(source, target, config, [80, 120], [20, FULL_WINDOW])
         assert a == b
         assert len(a.grid) == 4
+
+
+class TestGridSearchOnePass:
+    """The default one-pass grid search against the per-cell reference."""
+
+    GRID = ([80, 120], [10, FULL_WINDOW, 100])  # (80, 100) fails validation
+
+    @staticmethod
+    def _both(source, target, config, workers=None):
+        args = (source, target, config, *TestGridSearchOnePass.GRID)
+        got = grid_search(*args, workers=workers)
+        want = grid_search(*args, workers=workers, estimate_fn=estimate_delay)
+        return got, want
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("method", ["none", "minmax", "zscore", "nonlinear"])
+    def test_equals_per_cell_reference(self, sim_pair, method, workers):
+        config = fast_config(boot_reps=5, shuffle_reps=3, norm_method=method)
+        got, want = self._both(*sim_pair, config, workers)
+        assert got == want
+        assert [c for c, _ in got.skipped] == [(80, 100)]
+        assert len(got.grid) == 5
+
+    def test_fit_failure_skips_its_length_with_per_cell_message(
+        self, sim_pair, monkeypatch
+    ):
+        fit_markov = estimator.fit_markov
+
+        def failing_fit(residuals, n_states):
+            if len(residuals) == 80:
+                raise InvalidArgumentError("no chain for 80 samples")
+            return fit_markov(residuals, n_states)
+
+        monkeypatch.setattr(estimator, "fit_markov", failing_fit)
+        got, want = self._both(*sim_pair, fast_config(boot_reps=3, shuffle_reps=3))
+        assert got == want
+        assert got.skipped == (
+            ((80, 10), "no chain for 80 samples"),
+            ((80, FULL_WINDOW), "no chain for 80 samples"),
+            ((80, 100), "window=100 exceeds series length 80"),
+        )
+
+    def test_walk_failure_reports_earliest_replicate(self, sim_pair, monkeypatch):
+        walk = estimator.sample_bootstrap_series
+
+        def failing_walk(model, trend, length, rng, diagnostics=None):
+            boot = walk(model, trend, length, rng, diagnostics=diagnostics)
+            if length == 120 and boot.values[-1] > trend[-1]:
+                raise InvalidArgumentError(f"walk ends at {boot.values[-1]!r}")
+            return boot
+
+        monkeypatch.setattr(estimator, "sample_bootstrap_series", failing_walk)
+        got, want = self._both(*sim_pair, fast_config(boot_reps=6, shuffle_reps=3))
+        assert got == want
+        reasons = {r for c, r in got.skipped if c[0] == 120}
+        assert len(reasons) == 1 and "walk ends at" in reasons.pop()
+
+    # in the tails of sim_pair only target walks rise above 30
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_coding_failure_skips_only_its_window(self, sim_pair, monkeypatch, side):
+        normalize = estimator.normalize
+
+        def failing_normalize(values, method, window):
+            mine = (values.max() > 30) == (side == "target")
+            if window == 10 and mine and values[0] > values[-1]:
+                raise InvalidArgumentError(f"bad window from {values[0]!r}")
+            return normalize(values, method, window)
+
+        monkeypatch.setattr(estimator, "normalize", failing_normalize)
+        got, want = self._both(*sim_pair, fast_config(boot_reps=6, shuffle_reps=3))
+        assert got == want
+        failed = {c for c, _ in got.skipped} - {(80, 100)}
+        assert failed and all(window == 10 for _, window in failed)
+
+    def test_other_errors_propagate(self, sim_pair, monkeypatch):
+        def failing_fit(residuals, n_states):
+            raise DataError("chain cannot be fitted")
+
+        monkeypatch.setattr(estimator, "fit_markov", failing_fit)
+        config = fast_config(boot_reps=3, shuffle_reps=3)
+        with pytest.raises(DataError, match="chain cannot be fitted"):
+            grid_search(*sim_pair, config, *self.GRID)
+
+    def test_constant_source_warns_once_per_length(self, sim_pair):
+        _, target = sim_pair
+        source = np.full(len(target), 50.0)
+        config = fast_config(boot_reps=3, shuffle_reps=3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            grid_search(source, target, config, [80, 120], [10, 20, FULL_WINDOW])
+        messages = [str(w.message) for w in caught]
+        assert sum("distinct residual values" in m for m in messages) == 2

@@ -20,6 +20,7 @@ from lagte import (
     emit_report,
     estimate_delay,
     generate_pair,
+    grid_search,
     run_batch,
 )
 from lagte.core import FULL_WINDOW
@@ -128,3 +129,19 @@ def test_batch_matches_golden_digest(workers):
         [6], [1.0], ["none", "nonlinear"], [20], 2, config, workers=workers
     )
     assert _sha(report.to_csv()) == GOLDEN_BATCH
+
+
+# sha256 of repr((grid, per-cell lags, skipped)) of grid_search on the noisy
+# pair at B=4, 5 shuffles, lags 1..12, seed 2021; window 100 exceeds length
+# 80, so that one cell is skipped between two evaluated ones
+GOLDEN_GRID = "10023bbf726c43c8f5ac93aee4137881126a118ae4779101de5a331192f07b40"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_grid_matches_golden_digest(noisy_pair, workers):
+    config = PipelineConfig(boot_reps=4, shuffle_reps=5, lag_max=12, seed=2021)
+    result = grid_search(
+        *noisy_pair, config, [80, 120], [10, 20, 100, FULL_WINDOW], workers=workers
+    )
+    lags = tuple(tuple(int(u) for u in s.lags) for s in result.samples)
+    assert _sha(repr((result.grid, lags, result.skipped))) == GOLDEN_GRID

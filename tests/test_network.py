@@ -137,6 +137,35 @@ class TestLoadSpeedCsv:
                 _write(tmp_path, "hdr.csv", "timestamp,road_id,speed_kmh\n")
             )
 
+    @pytest.mark.parametrize(
+        "first, other",
+        [("2024-03-01T05:00:00", "2024-03-01T05:0{}:00+00:00"),
+         ("2024-03-01T05:00:00+01:00", "2024-03-01T05:0{}:00")],
+    )
+    def test_mixed_tz_awareness_rejected_with_line(self, tmp_path, first, other):
+        # the mismatch is on road B, which alone would load; line 4 is the
+        # first row whose awareness differs from the first data row's
+        lines = [
+            "timestamp,road_id,speed_kmh",
+            f"{first},A,10.0",
+            f"{first},B,10.0",
+            f"{other.format(1)},B,11.0",
+            f"{other.format(2)},A,12.0",
+        ]
+        with pytest.raises(ParseError, match="naive|tz-aware") as err:
+            load_speed_csv(_write(tmp_path, "tz.csv", "\n".join(lines)))
+        assert err.value.line == 4
+        assert "2024-03-01T05:01:00" in str(err.value)
+
+    def test_uniform_tz_aware_file_loads(self, tmp_path):
+        lines = [
+            "timestamp,road_id,speed_kmh",
+            "2024-03-01T05:00:00+01:00,A,10.0",
+            "2024-03-01T04:01:00+00:00,A,11.0",
+        ]
+        series = load_speed_csv(_write(tmp_path, "aware.csv", "\n".join(lines)))
+        assert series["A"].values.tolist() == [10.0, 11.0]
+
     def test_roads_interleaved_by_timestamp(self, tmp_path):
         lines = [
             "timestamp,road_id,speed_kmh",
@@ -198,6 +227,18 @@ class TestExtractIncidentWindow:
             extract_incident_window(
                 self._series(), datetime.fromisoformat("2024-03-01T06:44:30")
             )
+
+    @pytest.mark.parametrize(
+        "start, when",
+        [("2024-03-01T05:00:00", "2024-03-01T06:44:00+01:00"),
+         ("2024-03-01T05:00:00+00:00", "2024-03-01T06:44:00")],
+    )
+    def test_mixed_tz_awareness_names_both_times(self, start, when):
+        with pytest.raises(DataError, match="naive") as err:
+            extract_incident_window(
+                self._series(start=start), datetime.fromisoformat(when)
+            )
+        assert when in str(err.value) and start in str(err.value)
 
     def test_requires_start_time(self):
         with pytest.raises(DataError, match="start time"):
