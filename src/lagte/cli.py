@@ -19,8 +19,6 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-import numpy as np
-
 from .core import (
     FULL_WINDOW,
     NORM_METHODS,
@@ -38,7 +36,7 @@ from .network import (
     load_path_spec,
     load_speed_csv,
 )
-from .simulate import SimSpec, generate_pair, run_batch
+from .simulate import SimSpec, generate_pair, mae, run_batch
 
 __all__ = ["CliInvocation", "main", "build_parser"]
 
@@ -192,9 +190,8 @@ def cmd_simulate(inv: CliInvocation) -> int:
     )
     source, target = generate_pair(spec)
     sample = estimate_delay(source, target, inv.config, workers=inv.threads)
-    mae = float(np.mean(np.abs(np.asarray(sample.lags, dtype=float) - args.u0)))
     _print_sample(sample)
-    print(f"mae={mae!r}")
+    print(f"mae={mae(sample.lags, args.u0)!r}")
     if inv.verbose:
         for lag, count in sample.histogram(inv.config.lag_min, inv.config.lag_max):
             print(f"lag {lag}: {count}")

@@ -8,22 +8,25 @@ variance divided by ``B`` quantifies how trustworthy that mean is.  The
 normal-approximation interval for the mean follows from the near-normal
 shape of the bootstrap mean at practical replicate counts.
 
-Source and target series are decomposed and model-fitted once (both steps
-are deterministic) and only the sampling, normalization, encoding, and lag
-scan run per replicate.  Every replicate derives its own RNG substreams
-from the master seed, so results are bit-identical no matter how the
-replicates are scheduled across workers.  The source's streams do not
-depend on the target, so pairs that share a source also share its
-per-replicate work, down to the shuffled surrogates (``estimate_delays``).
-With several workers, one process pool serves the outermost public call.
+All work goes through ``estimate_delays``, which takes ``(source, target,
+config)`` jobs; ``estimate_delay`` is its one-job case, and grid search and
+path analysis pass their cells and hops as jobs.  It decides in one place
+which jobs share work.  Decomposition and model fitting are deterministic,
+so each series is fitted once per ``(trend_order, residual_states)``, and
+only the sampling, normalization, encoding, and lag scan run per
+replicate.  Every replicate derives its own RNG substreams from the master
+seed, so results are bit-identical no matter how the replicates are
+scheduled across workers.  A walk's stream depends only on its series and
+the seed, so jobs with one source object, fit, seed and replicate count
+form a group: per replicate the group walks its source and each target
+once, and under each config it normalizes, encodes and shuffles the
+source once for all of that config's targets.  With several workers, one
+process pool serves the outermost public call, and every group's
+replicates go to it before any is gathered.
 
 Grid search evaluates the pipeline over candidate observation lengths and
 normalization windows and picks the cell with the smallest variance ratio,
-the configuration under which the delay estimate is most stable.  Cells
-of one length differ only in the window, so they share the decomposition,
-the fits and, per replicate, the bootstrap walks of both series; each
-window normalizes, encodes and scans those walks with its own shuffle
-stream.  All cells' replicates go to the pool before any is gathered.
+the configuration under which the delay estimate is most stable.
 """
 
 from __future__ import annotations
@@ -164,27 +167,25 @@ def _run_replicates(
     source: Tuple[np.ndarray, MarkovModel],
     targets: Tuple[Tuple[np.ndarray, MarkovModel], ...],
     configs: Tuple[PipelineConfig, ...],
+    jobs: Tuple[Tuple[int, int], ...],
     indices: Sequence[int],
 ) -> list:
-    """Run a block of bootstrap replicates of one source against each target,
-    under each config.
+    """Run a block of bootstrap replicates of one source's jobs.
 
     ``source`` and every target are ``(trend, model)`` pairs of equal
-    length.  The configs share ``seed`` and differ only in how a walk is
-    normalized and coded (the windows of a grid search).  Per replicate
-    the source and each target are walked once for all configs; under
-    each config the source walk is normalized and encoded once, and one
-    ``best_lags`` call with that config's shuffle stream shares the
-    source's surrogates among all targets.  Returns, per (config, target)
-    in config-major order, its ``(lag, best_ete, restarts)`` rows in
-    ``indices`` order and either None or ``(index, error)`` for the first
-    replicate where it failed, the error of the first failing step of
-    ``estimate_delay``'s order (source, then target, then scan).  A
-    failed outcome is skipped from then on.
+    length, the configs share ``seed``, and each job is a ``(config index,
+    target index)`` pair.  Per replicate the source and each target a live
+    job needs are walked once; under each config the source walk is
+    normalized and encoded once, and one ``best_lags`` call with that
+    config's shuffle stream shares the source's surrogates among the
+    config's targets.  Returns, per job, its ``(lag, best_ete, restarts)``
+    rows in ``indices`` order and either None or ``(index, error)`` for
+    the first replicate where it failed, the error of the first failing
+    step of ``estimate_delay``'s order (source, then target, then scan).
+    A failed job is skipped from then on.
     """
-    n = len(targets)
-    rows = [[] for _ in range(len(configs) * n)]
-    failed = [None] * len(rows)
+    rows = [[] for _ in jobs]
+    failed = [None] * len(jobs)
     seed = configs[0].seed
     for b in indices:
         if all(f is not None for f in failed):
@@ -192,24 +193,24 @@ def _run_replicates(
         src_walk = _walk(*source, seed, b, TAG_SOURCE_BOOT)
         tgt_walks = {}
         for c, config in enumerate(configs):
-            live = [i for i in range(c * n, (c + 1) * n) if failed[i] is None]
+            live = [j for j, job in enumerate(jobs) if job[0] == c and not failed[j]]
             if not live:
                 continue
             src = _code(src_walk, config)
             if isinstance(src, LagTEError):
-                for i in live:
-                    failed[i] = (b, src)
+                for j in live:
+                    failed[j] = (b, src)
                 continue
             coded = {}
-            for i in live:
-                k = i % n
+            for j in live:
+                k = jobs[j][1]
                 if k not in tgt_walks:
                     tgt_walks[k] = _walk(*targets[k], seed, b, TAG_TARGET_BOOT)
                 tgt = _code(tgt_walks[k], config)
                 if isinstance(tgt, LagTEError):
-                    failed[i] = (b, tgt)
+                    failed[j] = (b, tgt)
                 else:
-                    coded[i] = tgt
+                    coded[j] = tgt
             if not coded:
                 continue
             try:
@@ -218,11 +219,11 @@ def _run_replicates(
                     src[0], [sym for sym, _ in coded.values()], config, rng_shuffle
                 )
             except LagTEError as exc:
-                for i in coded:
-                    failed[i] = (b, exc)
+                for j in coded:
+                    failed[j] = (b, exc)
                 continue
-            for (i, (_, restarts_tgt)), (u_hat, profile) in zip(coded.items(), picks):
-                rows[i].append((u_hat, max(profile.ete), src[1] + restarts_tgt))
+            for (j, (_, restarts_tgt)), (u_hat, profile) in zip(coded.items(), picks):
+                rows[j].append((u_hat, max(profile.ete), src[1] + restarts_tgt))
     return list(zip(rows, failed))
 
 
@@ -253,28 +254,29 @@ def _pool(workers: Optional[int]):
                 _ACTIVE_POOL.reset(token)
 
 
-def _start_replicates(pool, workers, source, targets, configs) -> list:
-    """Start every replicate of one source against its targets under its configs.
+def _start_replicates(pool, workers, source, targets, configs, jobs) -> list:
+    """Start every replicate of one source's jobs (see ``_run_replicates``).
 
     Returns ``(indices, future)`` per block of replicates.  A serial run
     computes its one block at once.  Blocks interleave the replicate
     indices, so every worker gets a share of each part of the sequence.
     """
     indices = range(configs[0].boot_reps)
+    group = (source, targets, configs, jobs)
     if pool is None:
         done = Future()
-        done.set_result(_run_replicates(source, targets, configs, indices))
+        done.set_result(_run_replicates(*group, indices))
         return [(indices, done)]
     blocks = [indices[i :: workers * 4] for i in range(workers * 4)]
     return [
-        (block, pool.submit(_run_replicates, source, targets, configs, block))
+        (block, pool.submit(_run_replicates, *group, block))
         for block in blocks
         if block
     ]
 
 
 def _gather_replicates(blocks, n_outcomes: int, level: float) -> list:
-    """Per (config, target), ``(LagSample, EstimateDetails)`` or its ``LagTEError``.
+    """Per job, ``(LagSample, EstimateDetails)`` or its ``LagTEError``.
 
     A failed outcome reports the error of its earliest failing replicate,
     whatever the blocks were.
@@ -302,52 +304,43 @@ def _gather_replicates(blocks, n_outcomes: int, level: float) -> list:
     return out
 
 
-def _run_groups(groups, workers: Optional[int], level: float) -> list:
-    """Run every group's replicates in one pool, submitting all before gathering.
-
-    Each group is ``(source fit, target fits, configs)``, the arguments of
-    ``_run_replicates``.  Returns, per group, its outcomes per (config,
-    target) in config-major order.
-    """
-    with _pool(workers) as pool:
-        started = [_start_replicates(pool, workers, *group) for group in groups]
-        return [
-            _gather_replicates(blocks, len(targets) * len(configs), level)
-            for blocks, (_, targets, configs) in zip(started, groups)
-        ]
-
-
 def estimate_delays(
-    pairs: Sequence[Tuple[SpeedSeries, SpeedSeries]],
-    config: PipelineConfig,
+    jobs: Sequence[Tuple[SpeedSeries, SpeedSeries, PipelineConfig]],
     workers: Optional[int] = None,
     level: float = 0.95,
 ) -> list:
-    """``estimate_delay`` of many pairs, sharing the work of a common source.
+    """``estimate_delay`` of many ``(source, target, config)`` jobs in one pass.
 
-    Pairs whose source is the same object form one group: the source is
-    decomposed and fitted once and, per replicate, walked, normalized,
-    encoded and shuffled once for all its targets.  Every series is
-    decomposed and fitted at most once, and all groups share one pool.
-    Each result equals ``estimate_delay(source, target, config,
-    return_details=True)`` for its pair.
+    Jobs share fits, walks and surrogates as the module docstring says;
+    series count as the same when they are the same object.  A failed fit
+    is kept, so it raises and warns once and fails every job that needs
+    it.  Repeated jobs share one outcome.
 
     Returns
     -------
     list
-        Per pair, ``(LagSample, EstimateDetails)``, or the ``LagTEError``
-        that ``estimate_delay`` would raise for that pair alone.
+        Per job, ``(LagSample, EstimateDetails)`` as ``estimate_delay(
+        source, target, config, return_details=True)`` returns it, or the
+        ``LagTEError`` that call would raise.
     """
-    results: list = [None] * len(pairs)
-    fitted = {}  # id of a caller's series -> (trend, model)
+    results: list = [None] * len(jobs)
+    fits = {}  # (id of a caller's series, trend_order, residual_states) -> fit
 
-    def fit(key, series):
-        if id(key) not in fitted:
-            fitted[id(key)] = _fit(series, config)
-        return fitted[id(key)]
+    def fit(key, series, config):
+        cached = (id(key), config.trend_order, config.residual_states)
+        if cached not in fits:
+            try:
+                fits[cached] = _fit(series, config)
+            except LagTEError as exc:
+                fits[cached] = exc
+        if isinstance(fits[cached], LagTEError):
+            raise fits[cached]
+        return fits[cached]
 
-    groups = {}  # id(source) -> (source fit, {id(target): (target fit, pair indices)})
-    for i, (source, target) in enumerate(pairs):
+    # group key -> (source fit, {id(target): (index, fit)}, {config: index},
+    #               {(config index, target index): job indices})
+    groups = {}
+    for i, (source, target, config) in enumerate(jobs):
         try:
             src = _as_series(source, "source")
             tgt = _as_series(target, "target")
@@ -356,25 +349,36 @@ def estimate_delays(
                     f"source and target lengths differ: {len(src)} != {len(tgt)}"
                 )
             config.validate_for_length(len(src))
-            src_fit, tgt_fit = fit(source, src), fit(target, tgt)
+            src_fit, tgt_fit = fit(source, src, config), fit(target, tgt, config)
         except LagTEError as exc:
             results[i] = exc
             continue
-        _, targets = groups.setdefault(id(source), (src_fit, {}))
-        targets.setdefault(id(target), (tgt_fit, []))[1].append(i)
+        key = (
+            id(source),
+            config.trend_order,
+            config.residual_states,
+            config.seed,
+            config.boot_reps,
+        )
+        _, targets, configs, members = groups.setdefault(key, (src_fit, {}, {}, {}))
+        k = targets.setdefault(id(target), (len(targets), tgt_fit))[0]
+        c = configs.setdefault(config, len(configs))
+        members.setdefault((c, k), []).append(i)
 
-    outcomes = _run_groups(
-        [
-            (src_fit, tuple(tgt_fit for tgt_fit, _ in targets.values()), (config,))
-            for src_fit, targets in groups.values()
-        ],
-        workers,
-        level,
-    )
-    for (_, targets), group_outcomes in zip(groups.values(), outcomes):
-        for (_, members), outcome in zip(targets.values(), group_outcomes):
-            for i in members:
-                results[i] = outcome
+    with _pool(workers) as pool:
+        started = []
+        for src_fit, targets, configs, members in groups.values():
+            tgt_fits = tuple(tgt_fit for _, tgt_fit in targets.values())
+            started.append(
+                _start_replicates(
+                    pool, workers, src_fit, tgt_fits, tuple(configs), tuple(members)
+                )
+            )
+        for (*_, members), blocks in zip(groups.values(), started):
+            outcomes = _gather_replicates(blocks, len(members), level)
+            for indices, outcome in zip(members.values(), outcomes):
+                for i in indices:
+                    results[i] = outcome
     return results
 
 
@@ -409,7 +413,7 @@ def estimate_delay(
     -------
     LagSample, or (LagSample, EstimateDetails) with ``return_details``.
     """
-    (outcome,) = estimate_delays([(source, target)], config, workers, level)
+    (outcome,) = estimate_delays([(source, target, config)], workers, level)
     if isinstance(outcome, LagTEError):
         raise outcome
     return outcome if return_details else outcome[0]
@@ -417,36 +421,6 @@ def estimate_delay(
 
 def _window_sort_key(window) -> float:
     return math.inf if window == FULL_WINDOW else float(window)
-
-
-def _grid_outcomes(src: SpeedSeries, tgt: SpeedSeries, cells, workers) -> dict:
-    """Evaluate every valid grid cell in one pass; returns cell index -> outcome.
-
-    Cells of one length form a group: both tails are decomposed and fitted
-    once, and per replicate each is walked once for all the group's
-    windows (``_run_replicates``).  Every group shares one pool.  Each
-    outcome equals ``estimate_delay(src.tail(length), tgt.tail(length),
-    config, return_details=True)`` or the ``LagTEError`` it would raise; a
-    failed fit fails every cell of its length.
-    """
-    by_length = {}  # length -> indices of its valid cells
-    for i, (cell, config) in enumerate(cells):
-        if isinstance(config, PipelineConfig):
-            by_length.setdefault(cell[0], []).append(i)
-    outcomes, groups, members = {}, [], []
-    for length, indices in by_length.items():
-        configs = tuple(cells[i][1] for i in indices)
-        try:
-            src_fit = _fit(src.tail(length), configs[0])
-            tgt_fit = _fit(tgt.tail(length), configs[0])
-        except LagTEError as exc:
-            outcomes.update(dict.fromkeys(indices, exc))
-            continue
-        groups.append((src_fit, (tgt_fit,), configs))
-        members.append(indices)
-    for indices, group in zip(members, _run_groups(groups, workers, level=0.95)):
-        outcomes.update(zip(indices, group))
-    return outcomes
 
 
 def grid_search(
@@ -479,8 +453,9 @@ def grid_search(
         Replacement for the cell evaluator with the same signature as
         ``estimate_delay(source, target, config, workers=...)``, called
         once per valid cell; intended for diagnostics and tests.  Without
-        it, cells of one length share their fits and walks, and each cell
-        gets exactly what ``estimate_delay`` would give it.
+        it, all cells go to one ``estimate_delays`` call with one pair of
+        tails per length, and each cell gets exactly what
+        ``estimate_delay`` would give it.
 
     Returns
     -------
@@ -510,15 +485,21 @@ def grid_search(
     grid, scores, samples, skipped = [], [], [], []
     with _pool(workers):
         if estimate_fn is None:
-            shared = _grid_outcomes(src, tgt, cells, workers)
-        for i, (cell, config) in enumerate(cells):
+            valid = [(cell, c) for cell, c in cells if isinstance(c, PipelineConfig)]
+            lengths = {cell[0] for cell, _ in valid}
+            tails = {n: (src.tail(n), tgt.tail(n)) for n in lengths}
+            outcomes = iter(
+                estimate_delays([(*tails[cell[0]], c) for cell, c in valid], workers)
+            )
+        for cell, config in cells:
             try:
                 if isinstance(config, InvalidArgumentError):
                     raise config
                 if estimate_fn is None:
-                    if isinstance(shared[i], LagTEError):
-                        raise shared[i]
-                    sample = shared[i][0]
+                    outcome = next(outcomes)
+                    if isinstance(outcome, LagTEError):
+                        raise outcome
+                    sample = outcome[0]
                 else:
                     sample = estimate_fn(
                         src.tail(cell[0]), tgt.tail(cell[0]), config, workers=workers

@@ -268,6 +268,9 @@ def extract_incident_window(
         of which one is tz-aware and the other naive (the message names
         both), incident off the sampling grid, or coverage falling short
         of the window on either side (the message names the shortfall).
+    InvalidArgumentError
+        An extent that is negative, not finite, or not a whole number of
+        samples.
     """
     if series.start_time is None:
         raise DataError("series has no start time; cannot locate the incident")
@@ -278,8 +281,11 @@ def extract_incident_window(
             f"{series.start_time.isoformat()} of {series.label or 'series'} "
             f"is {_awareness(series.start_time)}; they cannot be compared"
         )
-    if before_minutes < 0 or after_minutes < 0:
-        raise InvalidArgumentError("window extents must be nonnegative")
+    if not all(0 <= e < math.inf for e in (before_minutes, after_minutes)):
+        raise InvalidArgumentError(
+            f"window extents must be finite and nonnegative: got before "
+            f"{before_minutes!r}, after {after_minutes!r} min"
+        )
     offset = (incident_time - series.start_time).total_seconds() / 60.0
     for name, extent in (("before", before_minutes), ("after", after_minutes)):
         if (extent / series.period) != int(extent / series.period):
@@ -362,11 +368,9 @@ def analyze_paths(
     road on the path instead.  A failing hop records its error in the
     report and analysis continues.
 
-    All hops are estimated in one ``estimate_delays`` call: each road's
-    window is decomposed and fitted once, hops from one source road share
-    its per-replicate work, and ``workers > 1`` starts one process pool
-    for the whole call.  Every hop's result equals its own
-    ``estimate_delay``.
+    All hops are jobs of one ``estimate_delays`` call, so hops from one
+    source road share its work and ``workers > 1`` starts one process
+    pool.  Every hop's result equals its own ``estimate_delay``.
     """
     if max_hops < 0:
         raise InvalidArgumentError(f"max_hops must be >= 0: got {max_hops}")
@@ -390,15 +394,13 @@ def analyze_paths(
         ]
         for path in network.paths
     ]
-    pairs = {}
+    jobs = {}
     for hops in hop_roads:
         for _, src_road, tgt_road in hops:
             src, tgt = window(src_road), window(tgt_road)
             if not isinstance(src, LagTEError) and not isinstance(tgt, LagTEError):
-                pairs[src_road, tgt_road] = (src, tgt)
-    outcomes = dict(
-        zip(pairs, estimate_delays(list(pairs.values()), config, workers=workers))
-    )
+                jobs[src_road, tgt_road] = (src, tgt, config)
+    outcomes = dict(zip(jobs, estimate_delays(list(jobs.values()), workers=workers)))
 
     reports = []
     for path, hops in zip(network.paths, hop_roads):

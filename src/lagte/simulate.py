@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence, Tuple
@@ -24,6 +25,7 @@ from .core import (
     PipelineConfig,
     SpeedSeries,
     TAG_SIMULATION,
+    _is_int,
     derive_replicate_rng,
 )
 from .estimator import _pool, estimate_delay
@@ -65,15 +67,20 @@ class SimSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.u0 < 1:
-            raise InvalidArgumentError(f"u0 must be >= 1: got {self.u0}")
-        if self.noise_sigma < 0:
+        if not _is_int(self.u0) or self.u0 < 1:
+            raise InvalidArgumentError(f"u0 must be an integer >= 1: got {self.u0!r}")
+        if not 0 <= self.noise_sigma < math.inf:
             raise InvalidArgumentError(
-                f"noise_sigma must be >= 0: got {self.noise_sigma}"
+                f"noise_sigma must be finite and >= 0: got {self.noise_sigma!r}"
             )
-        if self.length <= self.u0 + 10:
+        if not _is_int(self.length) or self.length <= self.u0 + 10:
             raise InvalidArgumentError(
-                f"length must exceed u0 + 10 = {self.u0 + 10}: got {self.length}"
+                f"length must be an integer > u0 + 10 = {self.u0 + 10}: "
+                f"got {self.length!r}"
+            )
+        if not _is_int(self.seed) or self.seed < 0:
+            raise InvalidArgumentError(
+                f"seed must be an integer >= 0: got {self.seed!r}"
             )
 
 
@@ -127,6 +134,13 @@ def mae(lags: Sequence[int], u0: int) -> float:
     if arr.ndim != 1 or arr.size == 0:
         raise InvalidArgumentError("lags must be a nonempty 1-d sequence")
     return float(np.mean(np.abs(arr - u0)))
+
+
+def _mean_std(values: Sequence[float]) -> Tuple[float, float]:
+    """Mean and population standard deviation; NaN for both of no values."""
+    if not values:
+        return float("nan"), float("nan")
+    return float(np.mean(values)), float(np.std(values))
 
 
 @dataclass(frozen=True)
@@ -274,33 +288,18 @@ def run_batch(
                         continue
                     sigma_hats.append(np.sqrt(sample.sigma2_hat))
                     maes.append(mae(sample.lags, int(u0)))
-                if sigma_hats:
-                    cell = BatchCell(
-                        u0=int(u0),
-                        noise_sigma=float(noise),
-                        method=method,
-                        window=window,
-                        replicates=len(sigma_hats),
-                        mean_sigma_hat=float(np.mean(sigma_hats)),
-                        std_sigma_hat=float(np.std(sigma_hats)),
-                        mean_mae=float(np.mean(maes)),
-                        std_mae=float(np.std(maes)),
-                        failures=tuple(failures),
+                cells.append(
+                    BatchCell(
+                        int(u0),
+                        float(noise),
+                        method,
+                        window,
+                        len(sigma_hats),
+                        *_mean_std(sigma_hats),
+                        *_mean_std(maes),
+                        tuple(failures),
                     )
-                else:
-                    cell = BatchCell(
-                        u0=int(u0),
-                        noise_sigma=float(noise),
-                        method=method,
-                        window=window,
-                        replicates=0,
-                        mean_sigma_hat=float("nan"),
-                        std_sigma_hat=float("nan"),
-                        mean_mae=float("nan"),
-                        std_mae=float("nan"),
-                        failures=tuple(failures),
-                    )
-                cells.append(cell)
+                )
     return BatchReport(
         cells=tuple(cells), config=base_config, replicates=replicates
     )

@@ -186,3 +186,16 @@ class TestPathAnalyzeCommand:
         (hop,) = json.loads(out.read_text())["reports"][0]["hops"]
         assert "2024-03-01T05:30:00+01:00" in hop["error"]
         assert "2024-03-01T05:00:00" in hop["error"]
+
+    @pytest.mark.parametrize("flag", ["--before", "--after"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_extent_reports_hop_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "report.json"
+        args = ["path-analyze", "--csv", _speed_csv(tmp_path),
+                "--paths", _paths_json(tmp_path), "--before", "20",
+                "--after", "40", "--out", str(out)] + FAST
+        args[args.index(flag) + 1] = value
+        assert main(args) == EXIT_OK
+        (hop,) = json.loads(out.read_text())["reports"][0]["hops"]
+        assert "finite and nonnegative" in hop["error"]
+        assert "finite and nonnegative" in capsys.readouterr().out

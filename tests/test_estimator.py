@@ -118,7 +118,7 @@ class TestEstimateDelays:
             (target, source),
         ]
         for workers in (1, 2):
-            got = estimate_delays(pairs, config, workers=workers)
+            got = estimate_delays([(*p, config) for p in pairs], workers=workers)
             for (src, tgt), outcome in zip(pairs, got):
                 try:
                     want = estimate_delay(src, tgt, config, return_details=True)
@@ -129,10 +129,80 @@ class TestEstimateDelays:
                 assert outcome == want
         assert "lengths differ" in str(got[3])
 
+    def test_jobs_mix_configs_and_run_only_what_is_asked(self, sim_pair, monkeypatch):
+        source, target = sim_pair
+        other = SpeedSeries(target.values[::-1])
+        config = fast_config(boot_reps=5, shuffle_reps=3, window=10)
+        full = config.with_overrides(window=FULL_WINDOW)
+        jobs = [
+            (source, target, config),
+            (source, other, full),
+            (source, target, full.with_overrides(seed=7)),
+            (source, target, config.with_overrides(window=200)),  # fails alone
+        ]
+        for workers in (1, 2):
+            got = estimate_delays(jobs, workers=workers)
+            for job, outcome in zip(jobs, got):
+                try:
+                    want = estimate_delay(*job, return_details=True)
+                except LagTEError as exc:
+                    assert isinstance(outcome, type(exc))
+                    assert str(outcome) == str(exc)
+                    continue
+                assert outcome == want
+        assert "window=200 exceeds" in str(got[3])
+
+        calls = []
+        normalize = estimator.normalize
+
+        def counting_normalize(values, method, window):
+            calls.append(window)
+            return normalize(values, method, window)
+
+        monkeypatch.setattr(estimator, "normalize", counting_normalize)
+        estimate_delays(jobs[:2], workers=1)
+        # per replicate: the source and target under window 10, the source
+        # and other under "full"; the full product would code 2 + 4 walks
+        assert len(calls) == 4 * 5
+        assert calls.count(10) == calls.count(FULL_WINDOW) == 2 * 5
+
+    def test_failed_fit_runs_once(self, sim_pair, monkeypatch):
+        source, target = sim_pair
+        calls = []
+
+        def failing_fit(residuals, n_states):
+            calls.append(n_states)
+            raise InvalidArgumentError("no chain")
+
+        monkeypatch.setattr(estimator, "fit_markov", failing_fit)
+        config = fast_config(boot_reps=3)
+        other = SpeedSeries(target.values[::-1])
+        jobs = [
+            (source, target, config),
+            (source, other, config),
+            (source, target, config.with_overrides(window=10, seed=3)),
+        ]
+        assert [str(outcome) for outcome in estimate_delays(jobs)] == ["no chain"] * 3
+        assert calls == [config.residual_states]
+
+    def test_entry_points_make_one_call(self, sim_pair, monkeypatch):
+        calls = []
+        estimate_delays = estimator.estimate_delays
+
+        def counting(jobs, *args, **kwargs):
+            calls.append(len(jobs))
+            return estimate_delays(jobs, *args, **kwargs)
+
+        monkeypatch.setattr(estimator, "estimate_delays", counting)
+        config = fast_config(boot_reps=3, shuffle_reps=3)
+        estimate_delay(*sim_pair, config)
+        grid_search(*sim_pair, config, *TestGridSearchOnePass.GRID)
+        assert calls == [1, 5]  # grid: 6 cells, (80, 100) invalid
+
     def test_array_pairs_accepted(self, sim_pair):
         source, target = sim_pair
         config = fast_config(boot_reps=3)
-        (got,) = estimate_delays([(source.values, target.values)], config)
+        (got,) = estimate_delays([(source.values, target.values, config)])
         assert got == estimate_delay(source, target, config, return_details=True)
 
 

@@ -25,6 +25,7 @@ from lagte import (
     load_speed_csv,
     read_report_json,
 )
+from lagte import network
 from lagte.core import FULL_WINDOW
 from lagte.network import (
     config_from_dict,
@@ -35,6 +36,11 @@ from lagte.network import (
 from conftest import fast_config, road_csv_text
 
 T0 = "2024-03-01T05:00:00"
+
+
+def _warns_constant_road():
+    """Expect ``fit_markov``'s warning about a constant road's residuals."""
+    return pytest.warns(UserWarning, match="distinct residual values")
 
 
 def _write(tmp_path, name, text):
@@ -240,6 +246,16 @@ class TestExtractIncidentWindow:
             )
         assert when in str(err.value) and start in str(err.value)
 
+    @pytest.mark.parametrize("extent", [-1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("side", ["before_minutes", "after_minutes"])
+    def test_rejects_negative_and_nonfinite_extents(self, side, extent):
+        with pytest.raises(InvalidArgumentError, match="finite and nonnegative"):
+            extract_incident_window(
+                self._series(),
+                datetime.fromisoformat("2024-03-01T06:44:00"),
+                **{side: extent},
+            )
+
     def test_requires_start_time(self):
         with pytest.raises(DataError, match="start time"):
             extract_incident_window(
@@ -394,7 +410,8 @@ class TestAnalyzePaths:
     def test_constant_road_raises_flag_without_error(self):
         net = _chain_network(with_constant=True)
         config = fast_config(lag_max=8, window=10)
-        reports = analyze_paths(net, config, **FAST_KW)
+        with _warns_constant_road():
+            reports = analyze_paths(net, config, **FAST_KW)
         hops = reports[0].hops
         assert len(hops) == 2
         constant_hop = hops[1]
@@ -420,12 +437,13 @@ class TestAnalyzePaths:
 
     def test_consecutive_mode_changes_source(self):
         net = _chain_network(with_constant=True)
-        reports = analyze_paths(
-            net,
-            fast_config(lag_max=8, window=10),
-            consecutive=True,
-            **FAST_KW,
-        )
+        with _warns_constant_road():
+            reports = analyze_paths(
+                net,
+                fast_config(lag_max=8, window=10),
+                consecutive=True,
+                **FAST_KW,
+            )
         assert [h.source for h in reports[0].hops] == ["A", "B"]
 
     @pytest.mark.parametrize("consecutive", [False, True])
@@ -433,20 +451,22 @@ class TestAnalyzePaths:
         net = _network_with_failing_hop()
         config = fast_config(lag_max=8, window=10)
         _, when = net.incident
-        reports = analyze_paths(net, config, consecutive=consecutive, **FAST_KW)
+        with _warns_constant_road():
+            reports = analyze_paths(net, config, consecutive=consecutive, **FAST_KW)
         errors = 0
-        for hop in (h for r in reports for h in r.hops):
-            source, target = (
-                extract_incident_window(net.series[road], when, **FAST_KW)
-                for road in (hop.source, hop.target)
-            )
-            try:
-                want = estimate_delay(source, target, config)
-            except LagTEError as exc:
-                assert hop.sample is None and hop.error == str(exc)
-                errors += 1
-                continue
-            assert hop.error is None and hop.sample == want
+        with _warns_constant_road():  # each reference fits C again
+            for hop in (h for r in reports for h in r.hops):
+                source, target = (
+                    extract_incident_window(net.series[road], when, **FAST_KW)
+                    for road in (hop.source, hop.target)
+                )
+                try:
+                    want = estimate_delay(source, target, config)
+                except LagTEError as exc:
+                    assert hop.sample is None and hop.error == str(exc)
+                    errors += 1
+                    continue
+                assert hop.error is None and hop.sample == want
         assert errors == (2 if consecutive else 1)
         assert "lengths differ" in reports[1].hops[0].error
 
@@ -455,16 +475,34 @@ class TestAnalyzePaths:
         net = _network_with_failing_hop()
         config = fast_config(lag_max=8, window=10)
         kw = dict(consecutive=consecutive, **FAST_KW)
-        serial = analyze_paths(net, config, workers=1, **kw)
-        assert serial == analyze_paths(net, config, workers=2, **kw)
+        with _warns_constant_road():
+            serial = analyze_paths(net, config, workers=1, **kw)
+        with _warns_constant_road():
+            assert serial == analyze_paths(net, config, workers=2, **kw)
 
     def test_one_pool_per_call(self, pool_starts):
         net = _network_with_failing_hop()
         config = fast_config(boot_reps=3, lag_max=8, window=10)
-        analyze_paths(net, config, workers=1, **FAST_KW)
+        with _warns_constant_road():
+            analyze_paths(net, config, workers=1, **FAST_KW)
         assert pool_starts == []
-        analyze_paths(net, config, workers=2, consecutive=True, **FAST_KW)
+        with _warns_constant_road():
+            analyze_paths(net, config, workers=2, consecutive=True, **FAST_KW)
         assert pool_starts == [2]
+
+    def test_one_estimate_delays_call(self, monkeypatch):
+        calls = []
+        estimate_delays = network.estimate_delays
+
+        def counting(jobs, *args, **kwargs):
+            calls.append(len(jobs))
+            return estimate_delays(jobs, *args, **kwargs)
+
+        monkeypatch.setattr(network, "estimate_delays", counting)
+        config = fast_config(boot_reps=3, lag_max=8, window=10)
+        with _warns_constant_road():
+            analyze_paths(_network_with_failing_hop(), config, **FAST_KW)
+        assert calls == [3]  # A->B, A->C and A->E, each once
 
     @pytest.mark.parametrize("consecutive", [False, True])
     def test_constant_road_warns_once_per_call(self, consecutive):
@@ -488,9 +526,8 @@ class TestAnalyzePaths:
 class TestEmitReport:
     def _reports(self):
         net = _chain_network(with_constant=True)
-        return analyze_paths(
-            net, fast_config(lag_max=8, window=10), **FAST_KW
-        )
+        with _warns_constant_road():
+            return analyze_paths(net, fast_config(lag_max=8, window=10), **FAST_KW)
 
     def test_json_round_trip_is_lossless(self, tmp_path):
         reports = self._reports()

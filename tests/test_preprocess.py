@@ -221,7 +221,14 @@ class TestEncode:
     @given(series=finite_series)
     @settings(max_examples=100, deadline=None)
     def test_encoding_is_monotone(self, series):
-        sym = encode(series, 3, (0.25, 0.75))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sym = encode(series, 3, (0.25, 0.75))
+        for w in caught:  # ties may collapse bins; nothing else may warn
+            assert w.category is UserWarning
+            assert str(w.message).startswith(
+                ("degenerate data: all values equal", "duplicate bin bounds")
+            )
         order = np.argsort(series, kind="stable")
         assert np.all(np.diff(sym.symbols[order]) >= 0)
 

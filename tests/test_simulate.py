@@ -21,6 +21,30 @@ class TestSimSpec:
         with pytest.raises(InvalidArgumentError):
             SimSpec(u0=10, noise_sigma=-1.0)
 
+    @pytest.mark.parametrize("u0", [5.5, True])
+    def test_rejects_non_integer_u0(self, u0):
+        with pytest.raises(InvalidArgumentError, match="u0 must be an integer"):
+            SimSpec(u0=u0)
+
+    def test_rejects_non_integer_length(self):
+        with pytest.raises(InvalidArgumentError, match="length must be an integer"):
+            SimSpec(u0=10, length=120.0)
+
+    @pytest.mark.parametrize("seed", [1.5, -1, False])
+    def test_rejects_non_integer_seed(self, seed):
+        with pytest.raises(InvalidArgumentError, match="seed must be an integer"):
+            SimSpec(u0=10, seed=seed)
+
+    @pytest.mark.parametrize("noise", [float("inf"), float("nan")])
+    def test_rejects_nonfinite_noise(self, noise):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            SimSpec(u0=10, noise_sigma=noise)
+
+    def test_accepts_numpy_integers(self):
+        spec = SimSpec(u0=np.int64(10), length=np.int32(120), seed=np.uint64(3))
+        for got, want in zip(generate_pair(spec), generate_pair(SimSpec(10, seed=3))):
+            assert np.array_equal(got.values, want.values)
+
 
 class TestGeneratePair:
     def test_noise_free_closed_form(self):
