@@ -222,14 +222,16 @@ def sample_bootstrap_series(
         path.append(state)
     states = np.array(path, dtype=np.int64)
 
+    # one draw per step, listed state by state in time order: one
+    # rng.integers call with per-draw bounds consumes the same stream as a
+    # call per visited state, and the draws index the concatenated pools
+    sizes = np.array([pool.size for pool in model.pools])
+    order = np.argsort(states, kind="stable")
+    visited = states[order]
+    picks = rng.integers(0, sizes[visited])
+    picks += (np.cumsum(sizes) - sizes)[visited]
     residual = np.empty(length)
-    for s in range(model.n_states):
-        mask = states == s
-        count = int(mask.sum())
-        if count == 0:
-            continue
-        pool = model.pools[s]
-        residual[mask] = pool[rng.integers(0, pool.size, size=count)]
+    residual[order] = np.concatenate(model.pools)[picks]
 
     if diagnostics is not None:
         diagnostics["restarts"] = restarts

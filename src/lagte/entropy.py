@@ -125,9 +125,11 @@ def shannon_entropy(probabilities: Sequence[float]) -> float:
 def _as_codes(series: SymbolsLike, name: str) -> np.ndarray:
     """Canonicalize a symbol sequence to dense integer codes 0..n-1.
 
-    Relabeling the alphabet with any bijection produces identical codes
-    after canonicalization, which is what makes the estimator invariant to
-    the symbol names.
+    Codes follow the sorted order of the distinct symbols, so an
+    order-preserving relabeling of the alphabet gives identical codes and
+    identical results.  Any other bijection permutes the codes: transfer
+    entropy is unchanged in exact arithmetic, but its count cells are
+    summed in another order, so the last bits may differ.
     """
     if isinstance(series, SymbolSeries):
         values = series.symbols
@@ -173,6 +175,20 @@ def _symbol_pair(
     return src, tgt
 
 
+def _axis_sum(counts: np.ndarray, axis: int) -> np.ndarray:
+    """Sum of integer-valued counts over a short axis, one slice add at a time.
+
+    Every partial sum is an integer below 2**53, so any order of summation
+    is exact, and adding slices is much faster than a reduction over an
+    axis of two or three elements.
+    """
+    parts = np.moveaxis(counts, axis, 0)
+    total = parts[0].copy()
+    for part in parts[1:]:
+        total += part
+    return total
+
+
 def _te_from_counts(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
     """Transfer entropy in bits for a batch of triple-count tensors.
 
@@ -182,9 +198,9 @@ def _te_from_counts(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
     identity is a marginal of the same tensor, evaluated in one pass.
     """
     c = counts.astype(float)
-    d_ab = c.sum(axis=3)  # joint of (i_t, i_{t-1})
-    m_bc = c.sum(axis=1)  # joint of (i_{t-1}, j_{t-u})
-    e_b = m_bc.sum(axis=2)  # marginal of i_{t-1}
+    d_ab = _axis_sum(c, 3)  # joint of (i_t, i_{t-1})
+    m_bc = _axis_sum(c, 1)  # joint of (i_{t-1}, j_{t-u})
+    e_b = _axis_sum(m_bc, 2)  # marginal of i_{t-1}
     mask = c > 0.0
     # c * log2(num / den) on the support, built in one buffer; off the
     # support c and num are 0, so the terms stay 0

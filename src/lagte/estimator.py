@@ -18,11 +18,14 @@ replicate.  Every replicate derives its own RNG substreams from the master
 seed, so results are bit-identical no matter how the replicates are
 scheduled across workers.  A walk's stream depends only on its series and
 the seed, so jobs with one source object, fit, seed and replicate count
-form a group: per replicate the group walks its source and each target
-once, and under each config it normalizes, encodes and shuffles the
-source once for all of that config's targets.  With several workers, one
-process pool serves the outermost public call, and every group's
-replicates go to it before any is gathered.
+form a group.  A group's replicates run in blocks, and a block runs stage
+by stage: it walks the source and each target a job needs once per
+replicate; under each config it normalizes and encodes all of the
+source's walks as one 2-D block, and each needed target's walks as one
+block; then per replicate and config one lag scan, with that replicate's
+own shuffle stream, shares the source's surrogates among the config's
+targets.  With several workers, one process pool serves the outermost
+public call, and every group's blocks go to it before any is gathered.
 
 Grid search evaluates the pipeline over candidate observation lengths and
 normalization windows and picks the cell with the smallest variance ratio,
@@ -139,28 +142,38 @@ def _walk(trend, model, seed: int, b: int, tag: int):
     return boot.values, diagnostics["restarts"]
 
 
-def _code(walk, config: PipelineConfig):
-    """Normalize and code a walk under a config: ``(symbols, restarts)``,
-    or the ``LagTEError`` of the walk or of its coding.
+def _code(walks: dict, config: PipelineConfig, step: int):
+    """Normalize and code a block of walks under a config.
 
+    ``walks`` maps replicate indices to walks.  Returns a dict from the
+    same indices to symbol arrays, and None or, when the block's coding
+    failed, ``(index, step, error)`` with the block's first index.
     Normalizers place their output on a calibrated scale (the nonlinear
     method yields CDF values in (0, 1)), so the configured cutoffs act as
     fixed bounds there: a coded extreme means the same thing in every
     bootstrap replicate.  Without normalization the raw scale is arbitrary
-    and the cutoffs act as empirical quantile probabilities instead.
+    and the cutoffs act as empirical quantile probabilities instead, taken
+    per series.
     """
-    if isinstance(walk, LagTEError):
-        return walk
-    values, restarts = walk
+    if not walks:
+        return {}, None
+    values = np.stack([walk[0] for walk in walks.values()])
     try:
         normalized = normalize(values, config.norm_method, config.window)
         if config.norm_method == "none":
-            symbols = encode(normalized, config.encode_bins, config.encode_quantiles)
+            symbols = [
+                encode(row, config.encode_bins, config.encode_quantiles).symbols
+                for row in normalized
+            ]
         else:
-            symbols = encode_fixed(normalized, config.encode_quantiles)
+            symbols = encode_fixed(normalized, config.encode_quantiles).symbols
     except LagTEError as exc:
-        return exc
-    return symbols, restarts
+        return {}, (next(iter(walks)), step, exc)
+    return dict(zip(walks, symbols)), None
+
+
+# The steps of a job's replicate, in the order its failures rank.
+_SOURCE_WALK, _SOURCE_CODING, _TARGET_WALK, _TARGET_CODING, _SCAN = range(5)
 
 
 def _run_replicates(
@@ -174,57 +187,75 @@ def _run_replicates(
 
     ``source`` and every target are ``(trend, model)`` pairs of equal
     length, the configs share ``seed``, and each job is a ``(config index,
-    target index)`` pair.  Per replicate the source and each target a live
-    job needs are walked once; under each config the source walk is
-    normalized and encoded once, and one ``best_lags`` call with that
-    config's shuffle stream shares the source's surrogates among the
-    config's targets.  Returns, per job, its ``(lag, best_ete, restarts)``
-    rows in ``indices`` order and either None or ``(index, error)`` for
-    the first replicate where it failed, the error of the first failing
-    step of ``estimate_delay``'s order (source, then target, then scan).
-    A failed job is skipped from then on.
+    target index)`` pair.  The block runs stage by stage, as the module
+    docstring says.
+
+    Returns, per job, its ``(lag, best_ete, restarts)`` rows in ``indices``
+    order and either None or ``(index, error)`` for the first replicate
+    where it failed, with the error of its first failing step in the order
+    source walk, source coding, target walk, target coding, scan.  Coding
+    fails for a whole block, and in practice only for a whole config, so
+    its error is charged to the block's first replicate whose walk
+    succeeded.  A failed job is not scanned from then on.
     """
-    rows = [[] for _ in jobs]
-    failed = [None] * len(jobs)
     seed = configs[0].seed
+
+    def walk_all(series, tag, step):
+        # the walks that succeeded, and the first failure as (index, step, error)
+        walks, failure = {}, None
+        for b in indices:
+            walk = _walk(*series, seed, b, tag)
+            if not isinstance(walk, LagTEError):
+                walks[b] = walk
+            elif failure is None:
+                failure = (b, step, walk)
+        return walks, failure
+
+    src_walks, src_failure = walk_all(source, TAG_SOURCE_BOOT, _SOURCE_WALK)
+    tgt_walks = {
+        k: walk_all(targets[k], TAG_TARGET_BOOT, _TARGET_WALK)
+        for k in dict.fromkeys(k for _, k in jobs)
+    }
+    # (config index, None for the source or a target index) -> (symbols, failure)
+    coded = {}
+    failures = []  # per job, its first failure: (index, step, error) or None
+    for c, k in jobs:
+        if (c, None) not in coded:
+            coded[c, None] = _code(src_walks, configs[c], _SOURCE_CODING)
+        if (c, k) not in coded:
+            coded[c, k] = _code(tgt_walks[k][0], configs[c], _TARGET_CODING)
+        steps = (src_failure, coded[c, None][1], tgt_walks[k][1], coded[c, k][1])
+        steps = [f for f in steps if f is not None]
+        failures.append(min(steps, key=lambda f: f[:2], default=None))
+
+    rows = [[] for _ in jobs]
     for b in indices:
-        if all(f is not None for f in failed):
-            break
-        src_walk = _walk(*source, seed, b, TAG_SOURCE_BOOT)
-        tgt_walks = {}
         for c, config in enumerate(configs):
-            live = [j for j, job in enumerate(jobs) if job[0] == c and not failed[j]]
+            live = [
+                j
+                for j, (job_c, _) in enumerate(jobs)
+                if job_c == c and (failures[j] is None or failures[j][0] > b)
+            ]
             if not live:
-                continue
-            src = _code(src_walk, config)
-            if isinstance(src, LagTEError):
-                for j in live:
-                    failed[j] = (b, src)
-                continue
-            coded = {}
-            for j in live:
-                k = jobs[j][1]
-                if k not in tgt_walks:
-                    tgt_walks[k] = _walk(*targets[k], seed, b, TAG_TARGET_BOOT)
-                tgt = _code(tgt_walks[k], config)
-                if isinstance(tgt, LagTEError):
-                    failed[j] = (b, tgt)
-                else:
-                    coded[j] = tgt
-            if not coded:
                 continue
             try:
                 rng_shuffle = derive_replicate_rng(config.seed, b, TAG_SHUFFLE)
                 picks = best_lags(
-                    src[0], [sym for sym, _ in coded.values()], config, rng_shuffle
+                    coded[c, None][0][b],
+                    [coded[c, jobs[j][1]][0][b] for j in live],
+                    config,
+                    rng_shuffle,
                 )
             except LagTEError as exc:
-                for j in coded:
-                    failed[j] = (b, exc)
+                for j in live:
+                    failures[j] = (b, _SCAN, exc)
                 continue
-            for (j, (_, restarts_tgt)), (u_hat, profile) in zip(coded.items(), picks):
-                rows[j].append((u_hat, max(profile.ete), src[1] + restarts_tgt))
-    return list(zip(rows, failed))
+            for j, (u_hat, profile) in zip(live, picks):
+                restarts = src_walks[b][1] + tgt_walks[jobs[j][1]][0][b][1]
+                rows[j].append((u_hat, max(profile.ete), restarts))
+    return [
+        (r, None if f is None else (f[0], f[2])) for r, f in zip(rows, failures)
+    ]
 
 
 # The pool of the outermost public call in progress in this thread, if any.

@@ -27,9 +27,12 @@ matrix*: row ``t`` holds the window ending at ``t``, left-padded while the
 warm-up lasts (``W = min(w, L)``, or ``L`` for ``"full"``).  ``nonlinear``
 sorts the ``+inf``-padded rows and reads its quartiles with numpy's linear
 percentile rule; ``minmax`` takes the row maxima of the ``-inf``-padded
-rows.  Both equal the per-step computation bit for bit.  ``zscore`` keeps a
-per-step loop, since a padded mean or standard deviation would sum in
-another order.
+rows.  ``zscore`` reduces the unpadded full-width rows and loops over the
+``W - 1`` warm-up steps only, since a padded mean or standard deviation
+would sum in another order.  All three equal the per-step computation bit
+for bit.  ``normalize`` and ``encode_fixed`` also take a 2-D block with
+one series per row and stack the rows' window matrices, so a block of
+bootstrap replicates is coded in one call.
 """
 
 from __future__ import annotations
@@ -107,7 +110,8 @@ class SymbolSeries:
     ``bounds`` holds the ``n - 1`` increasing quantile cut points.  A value
     at or below the first bound maps to symbol 1, a value at or above the
     last bound maps to symbol ``n``, and interior values map to the open
-    interval they fall in.
+    interval they fall in.  ``symbols`` is 2-D, one series per row, when
+    a block of series was coded at once; the length is the series length.
     """
 
     symbols: np.ndarray
@@ -123,7 +127,7 @@ class SymbolSeries:
         object.__setattr__(self, "bounds", bounds)
 
     def __len__(self) -> int:
-        return self.symbols.size
+        return self.symbols.shape[-1]
 
 
 def decompose(series: Union[SpeedSeries, Sequence[float]], m: int) -> Decomposition:
@@ -167,52 +171,63 @@ def _window_width(w: Union[int, str], l: int) -> int:
 
 
 def _window_blocks(values: np.ndarray, w: Union[int, str], fill: float):
-    """Yield ``(lo, block)``: rows ``lo, lo+1, ...`` of the forefront-window matrix.
+    """Yield ``(rows, cols, block)``: a block of the forefront-window matrices.
 
-    Row ``t`` of the ``(L, W)`` matrix holds the window ending at ``t``,
-    left-padded with ``fill`` while fewer than ``W`` samples exist.  The
-    rows come in blocks of at most ``_BLOCK_ELEMS`` elements so that a
-    ``"full"`` window over a long series never materializes all ``L * L``.
+    ``values`` holds one series per row.  Row ``t`` of a series' ``(L, W)``
+    matrix holds the window ending at ``t``, left-padded with ``fill``
+    while fewer than ``W`` samples exist.  ``block`` is the
+    ``(len(rows), len(cols), W)`` part of the stacked matrices at those
+    series and steps.  Blocks hold at most ``_BLOCK_ELEMS`` elements where
+    one window allows it, so that a ``"full"`` window over a long series
+    never materializes all ``L * L``.
     """
-    width = _window_width(w, values.size)
-    padded = np.concatenate((np.full(width - 1, fill), values))
-    rows = sliding_window_view(padded, width)
-    step = max(1, _BLOCK_ELEMS // width)
-    for lo in range(0, values.size, step):
-        yield lo, rows[lo : lo + step]
+    n_series, l = values.shape
+    width = _window_width(w, l)
+    padded = np.concatenate((np.full((n_series, width - 1), fill), values), axis=1)
+    windows = sliding_window_view(padded, width, axis=1)
+    steps = min(l, max(1, _BLOCK_ELEMS // width))
+    series = max(1, _BLOCK_ELEMS // (steps * width))
+    for r in range(0, n_series, series):
+        rows = slice(r, r + series)
+        for lo in range(0, l, steps):
+            cols = slice(lo, lo + steps)
+            yield rows, cols, windows[rows, cols]
 
 
 def _window_quartiles(values: np.ndarray, w: Union[int, str]) -> np.ndarray:
-    """25th/50th/75th percentiles of every forefront window, shape ``(3, L)``.
+    """25th/50th/75th percentiles of every forefront window.
 
-    Bit-identical to ``np.percentile(window, [25, 50, 75])`` per step: the
-    windows are sorted as ``+inf``-padded rows, so the ``n`` real samples
-    lead each row, and numpy's linear method is applied by hand.  Its
-    virtual index ``(n - 1) * q`` splits into a floor index and a weight
-    ``g``; the next index is clamped to ``n - 1``; and the interpolation
-    switches to ``b - (b - a) * (1 - g)`` for ``g >= 0.5``.  A one-sample
-    window falls on numpy's above-the-last-index rule, which reads it with
-    ``g = 1``.
+    ``values`` is one series or a 2-D array with one series per row; the
+    result has shape ``(3,) + values.shape``.  Bit-identical to
+    ``np.percentile(window, [25, 50, 75])`` per step: the windows are
+    sorted as ``+inf``-padded rows, so the ``n`` real samples lead each
+    row, and numpy's linear method is applied by hand.  Its virtual index
+    ``(n - 1) * q`` splits into a floor index and a weight ``g``; the next
+    index is clamped to ``n - 1``; and the interpolation switches to
+    ``b - (b - a) * (1 - g)`` for ``g >= 0.5``.  A one-sample window falls
+    on numpy's above-the-last-index rule, which reads it with ``g = 1``.
     """
-    l = values.size
+    block = values.reshape(-1, values.shape[-1])
+    l = block.shape[1]
     n = np.minimum(np.arange(1, l + 1), _window_width(w, l))
     virtual = (n - 1) * _QUARTILES[:, None]
     prev = virtual.astype(np.intp)
     nxt = np.minimum(prev + 1, n - 1)
     g = virtual - prev
     g[:, n == 1] = 1.0
-    a = np.empty((3, l))
-    b = np.empty((3, l))
-    for lo, block in _window_blocks(values, w, np.inf):
-        block = np.sort(block, axis=1)
-        cols = slice(lo, lo + block.shape[0])
-        rows = np.arange(block.shape[0])
-        a[:, cols] = block[rows, prev[:, cols]]
-        b[:, cols] = block[rows, nxt[:, cols]]
+    a = np.empty((3,) + block.shape)
+    b = np.empty((3,) + block.shape)
+    for rows, cols, windows in _window_blocks(block, w, np.inf):
+        windows = np.sort(windows, axis=-1)
+        steps = np.arange(windows.shape[1])
+        # (series, quartile, step) -> (quartile, series, step)
+        a[:, rows, cols] = windows[:, steps, prev[:, cols]].transpose(1, 0, 2)
+        b[:, rows, cols] = windows[:, steps, nxt[:, cols]].transpose(1, 0, 2)
+    g = g[:, None, :]
     diff = b - a
     out = a + diff * g
     np.subtract(b, diff * (1 - g), out=out, where=g >= 0.5)
-    return out
+    return out.reshape((3,) + values.shape)
 
 
 def normalize(
@@ -236,14 +251,20 @@ def normalize(
       deviation.  Zero dispersion gives 0.
     - ``none``: the series unchanged.
 
-    ``nonlinear`` rejects a series containing NaN with ``InvalidArgumentError``.
+    A 2-D ``series`` is a block of equal-length series, one per row; each
+    output row equals that row's own call bit for bit.  ``nonlinear``
+    rejects input containing NaN with ``InvalidArgumentError``.
 
     Returns
     -------
     numpy.ndarray
-        Normalized values, same length as the input.
+        Normalized values, same shape as the input.
     """
     values = np.asarray(series, dtype=float)
+    if values.ndim not in (1, 2):
+        raise InvalidArgumentError(
+            f"need a series or a 2-d block of series: got {values.ndim} dimensions"
+        )
     if values.size == 0:
         raise InvalidArgumentError("cannot normalize an empty series")
     if method not in NORM_METHODS:
@@ -256,37 +277,43 @@ def normalize(
     if method == "none":
         return values.copy()
 
-    l = values.size
-    out = np.zeros(l)
+    block = values.reshape(-1, values.shape[-1])
+    out = np.zeros(block.shape)
     if method == "nonlinear":
         if np.isnan(values).any():
             # NaN would sort past the padding and corrupt the window quartiles
             raise InvalidArgumentError(
                 "nonlinear normalization needs a series without NaN"
             )
-        f25, f50, f75 = _window_quartiles(values, w)
+        f25, f50, f75 = _window_quartiles(block, w)
         iqr = f75 - f25
         # a subnormal IQR overflows z to inf, which the clamp below absorbs
         with np.errstate(over="ignore"):
-            np.divide(0.5 * (values - f50), iqr, out=out, where=iqr != 0.0)
+            np.divide(0.5 * (block - f50), iqr, out=out, where=iqr != 0.0)
         # ndtr saturates to exactly 0 or 1 for |z| beyond ~8.3; pull the
         # result back inside the open interval the contract promises
         np.clip(ndtr(out), _CDF_FLOOR, _CDF_CEIL, out=out)
     elif method == "minmax":
-        top = np.empty(l)
-        for lo, block in _window_blocks(values, w, -np.inf):
-            top[lo : lo + block.shape[0]] = block.max(axis=1)
+        top = np.empty(block.shape)
+        for rows, cols, windows in _window_blocks(block, w, -np.inf):
+            top[rows, cols] = windows.max(axis=-1)
         # a subnormal maximum overflows the ratio to +-inf, which is kept
         with np.errstate(over="ignore"):
-            np.divide(values, top, out=out, where=top != 0.0)
+            np.divide(block, top, out=out, where=top != 0.0)
     else:  # zscore
-        # a padded mean/std would sum in another order, so this stays a loop
-        width = _window_width(w, l)
-        for t in range(l):
-            window = values[max(0, t - width + 1) : t + 1]
-            sd = window.std()
-            out[t] = 0.0 if sd == 0.0 else (values[t] - window.mean()) / sd
-    return out
+        # a padded mean/std would sum in another order, so only the steps
+        # past the warm-up, whose windows are full, are reduced at once
+        width = _window_width(w, block.shape[1])
+        for t in range(width - 1):
+            window = block[:, : t + 1]
+            sd = window.std(axis=1)
+            centered = block[:, t] - window.mean(axis=1)
+            np.divide(centered, sd, out=out[:, t], where=sd != 0.0)
+        windows = sliding_window_view(block, width, axis=1)
+        sd = windows.std(axis=2)
+        centered = block[:, width - 1 :] - windows.mean(axis=2)
+        np.divide(centered, sd, out=out[:, width - 1 :], where=sd != 0.0)
+    return out.reshape(values.shape)
 
 
 def encode(
@@ -310,6 +337,8 @@ def encode(
     SymbolSeries
     """
     values = np.asarray(series, dtype=float)
+    if values.ndim != 1:
+        raise InvalidArgumentError("encode takes one 1-d series")
     if values.size == 0:
         raise InvalidArgumentError("cannot encode an empty series")
     if n < 2:
@@ -353,13 +382,19 @@ def encode_fixed(series: Sequence[float], bounds: Sequence[float]) -> SymbolSeri
     severity in every series and every resample, so the coded extremes stay
     comparable where data-driven quantile bounds would drift with each
     input.  Boundary rules match ``encode``: at or below the lowest bound
-    maps to 1, at or above the highest to ``len(bounds) + 1``.
+    maps to 1, at or above the highest to ``len(bounds) + 1``.  A 2-D
+    ``series`` is a block of series, one per row, coded at once.
 
     Returns
     -------
     SymbolSeries
+        With ``symbols`` of the input's shape.
     """
     values = np.asarray(series, dtype=float)
+    if values.ndim not in (1, 2):
+        raise InvalidArgumentError(
+            f"need a series or a 2-d block of series: got {values.ndim} dimensions"
+        )
     if values.size == 0:
         raise InvalidArgumentError("cannot encode an empty series")
     cuts = np.asarray(bounds, dtype=float)

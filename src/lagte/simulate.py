@@ -261,8 +261,10 @@ def run_batch(
     """
     if min(len(lags), len(noises), len(methods), len(windows)) == 0:
         raise InvalidArgumentError("all batch grids must be nonempty")
-    if replicates < 1:
-        raise InvalidArgumentError(f"replicates must be >= 1: got {replicates}")
+    if not _is_int(replicates) or replicates < 1:
+        raise InvalidArgumentError(
+            f"replicates must be an integer >= 1: got {replicates!r}"
+        )
 
     cells = []
     with _pool(workers):

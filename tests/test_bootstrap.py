@@ -22,6 +22,29 @@ def _rng(seed=0):
     return derive_replicate_rng(seed, 0, TAG_SOURCE_BOOT)
 
 
+def walk_reference(model, trend, length, rng):
+    """The walk with one pool draw per visited state, which the library's
+    single draw over all steps replaces."""
+    cum_pi = np.cumsum(model.pi_hat)
+    cum_pi[-1] = 1.0
+    cum_rows = np.cumsum(model.p_hat, axis=1)
+    cum_rows[:, -1] = 1.0
+    uniforms = rng.random(length)
+    states = [int(np.searchsorted(cum_pi, uniforms[0], side="right"))]
+    for x in uniforms[1:]:
+        table = cum_pi if model.unreachable[states[-1]] else cum_rows[states[-1]]
+        states.append(int(np.searchsorted(table, x, side="right")))
+    states = np.array(states)
+    residual = np.empty(length)
+    for s in range(model.n_states):
+        mask = states == s
+        count = int(mask.sum())
+        if count:
+            pool = model.pools[s]
+            residual[mask] = pool[rng.integers(0, pool.size, size=count)]
+    return np.asarray(trend, dtype=float) + residual
+
+
 class TestFitMarkov:
     def test_two_state_path(self):
         # states visit low, low, high, high
@@ -124,3 +147,44 @@ class TestSampleBootstrap:
         )
         freq = np.bincount(states, minlength=3) / states.size
         assert np.all(np.abs(freq - model.pi_hat) < 0.02)
+
+    @given(
+        residuals=st.one_of(
+            residual_arrays,
+            # few distinct values: size-1 pools and unreachable final states
+            hnp.arrays(
+                np.float64,
+                st.integers(min_value=2, max_value=30),
+                elements=st.sampled_from([-2.0, 0.0, 0.5, 3.0, 7.0]),
+            ),
+        ),
+        n=st.integers(min_value=1, max_value=8),
+        length=st.integers(min_value=1, max_value=150),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_per_state_draw_reference(self, residuals, n, length, seed):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            model = fit_markov(residuals, n)
+        trend = np.linspace(-1.0, 1.0, length)
+        rng_got, rng_want = _rng(seed), _rng(seed)
+        got = sample_bootstrap_series(model, trend, length, rng_got)
+        want = walk_reference(model, trend, length, rng_want)
+        assert got.values.tobytes() == want.tobytes()
+        # the single draw consumed exactly the per-state draws' stream
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+    def test_reference_covers_single_value_pools_and_restarts(self):
+        # every state holds one value, and state 3 is unreachable
+        model = fit_markov([1.0, 2.0, 3.0, 4.0], 4)
+        assert [pool.size for pool in model.pools] == [1, 1, 1, 1]
+        diag = {}
+        rng_got, rng_want = _rng(4), _rng(4)
+        got = sample_bootstrap_series(model, np.zeros(300), 300, rng_got, diag)
+        want = walk_reference(model, np.zeros(300), 300, rng_want)
+        assert diag["restarts"] > 0
+        assert got.values.tobytes() == want.tobytes()
+        assert rng_got.random() == rng_want.random()

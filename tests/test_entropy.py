@@ -279,6 +279,43 @@ class TestBestLags:
             # the shared scan drew exactly what one best_lag call draws
             assert rng_shared.bit_generator.state == rng_own.bit_generator.state
 
+    @given(
+        data=st.data(),
+        length=st.integers(min_value=4, max_value=60),
+        side=st.sampled_from(["source", "target"]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_invariant_to_relabeling_either_series(self, data, length, side, seed):
+        symbols = st.lists(
+            st.integers(min_value=1, max_value=4), min_size=length, max_size=length
+        )
+        series = {"source": np.array(data.draw(symbols))}
+        series["target"] = np.array(data.draw(symbols))
+        lag_max = data.draw(st.integers(min_value=1, max_value=length - 2))
+        config = PipelineConfig(lag_max=lag_max, shuffle_reps=3)
+        alphabet = [1, 2, 3, 4]
+        labels = st.sets(st.integers(-50, 50), min_size=4, max_size=4)
+        monotone = sorted(data.draw(labels))
+        bijection = data.draw(st.permutations(alphabet))
+
+        def scan(relabel):
+            relabeled = dict(series)
+            relabeled[side] = np.array([relabel[s - 1] for s in series[side]])
+            rng = np.random.default_rng(seed)
+            return best_lags(relabeled["source"], [relabeled["target"]], config, rng)[0]
+
+        want_lag, want = scan(alphabet)
+        # an order-preserving relabeling gives the same codes, hence the same bytes
+        got_lag, got = scan(monotone)
+        assert got_lag == want_lag
+        for field in ("lags", "te", "ete", "shuffle_mean"):
+            got_bytes = np.array(getattr(got, field)).tobytes()
+            assert got_bytes == np.array(getattr(want, field)).tobytes()
+        # any bijection permutes the count cells, so only the rounding may move
+        _, got = scan(bijection)
+        assert np.allclose(got.ete, want.ete, rtol=0.0, atol=1e-12)
+
     def test_rejects_bad_targets(self):
         source = np.ones(20, dtype=int)
         config = fast_config(lag_max=5)

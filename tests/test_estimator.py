@@ -16,7 +16,7 @@ from lagte import (
     grid_search,
     lemma1_interval,
 )
-from lagte.core import FULL_WINDOW
+from lagte.core import FULL_WINDOW, TAG_SHUFFLE, TAG_SOURCE_BOOT, TAG_TARGET_BOOT
 from lagte import estimator
 from lagte.estimator import estimate_delays
 from conftest import fast_config
@@ -156,7 +156,7 @@ class TestEstimateDelays:
         normalize = estimator.normalize
 
         def counting_normalize(values, method, window):
-            calls.append(window)
+            calls.extend([window] * len(values))  # one entry per series
             return normalize(values, method, window)
 
         monkeypatch.setattr(estimator, "normalize", counting_normalize)
@@ -204,6 +204,150 @@ class TestEstimateDelays:
         config = fast_config(boot_reps=3)
         (got,) = estimate_delays([(source.values, target.values, config)])
         assert got == estimate_delay(source, target, config, return_details=True)
+
+
+def replicates_reference(source, targets, configs, jobs, indices):
+    """The per-replicate loop that the stage-major ``_run_replicates``
+    replaces: each replicate walks, normalizes, encodes and scans on its
+    own, one series at a time, and a failed job is skipped from then on."""
+
+    def code(walk, config):
+        if isinstance(walk, LagTEError):
+            return walk
+        values, restarts = walk
+        try:
+            normalized = estimator.normalize(values, config.norm_method, config.window)
+            if config.norm_method == "none":
+                symbols = estimator.encode(
+                    normalized, config.encode_bins, config.encode_quantiles
+                )
+            else:
+                symbols = estimator.encode_fixed(normalized, config.encode_quantiles)
+        except LagTEError as exc:
+            return exc
+        return symbols, restarts
+
+    rows = [[] for _ in jobs]
+    failed = [None] * len(jobs)
+    seed = configs[0].seed
+    for b in indices:
+        src_walk = estimator._walk(*source, seed, b, TAG_SOURCE_BOOT)
+        tgt_walks = {}
+        for c, config in enumerate(configs):
+            live = [j for j, job in enumerate(jobs) if job[0] == c and not failed[j]]
+            if not live:
+                continue
+            src = code(src_walk, config)
+            if isinstance(src, LagTEError):
+                for j in live:
+                    failed[j] = (b, src)
+                continue
+            coded = {}
+            for j in live:
+                k = jobs[j][1]
+                if k not in tgt_walks:
+                    tgt_walks[k] = estimator._walk(
+                        *targets[k], seed, b, TAG_TARGET_BOOT
+                    )
+                tgt = code(tgt_walks[k], config)
+                if isinstance(tgt, LagTEError):
+                    failed[j] = (b, tgt)
+                else:
+                    coded[j] = tgt
+            if not coded:
+                continue
+            try:
+                rng = estimator.derive_replicate_rng(config.seed, b, TAG_SHUFFLE)
+                picks = estimator.best_lags(
+                    src[0], [sym for sym, _ in coded.values()], config, rng
+                )
+            except LagTEError as exc:
+                for j in coded:
+                    failed[j] = (b, exc)
+                continue
+            for (j, (_, restarts)), (u_hat, profile) in zip(coded.items(), picks):
+                rows[j].append((u_hat, max(profile.ete), src[1] + restarts))
+    return list(zip(rows, failed))
+
+
+class TestStageMajorBlock:
+    """``_run_replicates`` against the per-replicate reference loop."""
+
+    @pytest.mark.parametrize("walk_side", ["source", "target"])
+    def test_equals_per_replicate_reference(self, sim_pair, monkeypatch, walk_side):
+        source, target = sim_pair
+        other = SpeedSeries(target.values[::-1])
+        lifted = SpeedSeries(target.values + 1000.0)  # walks stay above 500
+        base = fast_config(boot_reps=9, shuffle_reps=3, lag_max=8, window=10)
+        configs = (
+            base,
+            base.with_overrides(norm_method="minmax", window=FULL_WINDOW),
+            base.with_overrides(norm_method="none"),
+            base.with_overrides(norm_method="zscore", window=7),  # fails: source
+            base.with_overrides(window=9),  # fails: lifted target
+        )
+        jobs = (
+            (0, 0),
+            (0, 1),
+            (1, 1),
+            (1, 2),
+            (2, 0),
+            (2, 1),
+            (3, 0),
+            (4, 2),
+            (4, 0),
+            (3, 1),  # source coding and a target walk may fail in one replicate
+        )
+        src_fit = estimator._fit(source, base)
+        tgt_fits = tuple(estimator._fit(t, base) for t in (target, other, lifted))
+
+        # the walk of one replicate raises: replicate 3 of the source, or
+        # replicate 2 of ``other``
+        k, fit, tag = (
+            (3, src_fit, TAG_SOURCE_BOOT)
+            if walk_side == "source"
+            else (2, tgt_fits[1], TAG_TARGET_BOOT)
+        )
+        doomed = estimator._walk(*fit, base.seed, k, tag)[0]
+        walk = estimator.sample_bootstrap_series
+
+        def failing_walk(model, trend, length, rng, diagnostics=None):
+            boot = walk(model, trend, length, rng, diagnostics=diagnostics)
+            if np.array_equal(boot.values, doomed):
+                raise InvalidArgumentError(f"walk {k} refused")
+            return boot
+
+        normalize = estimator.normalize
+
+        def failing_normalize(values, method, window):
+            if window == 7:
+                raise InvalidArgumentError("window 7 refused")
+            if window == 9 and np.min(values) > 500:
+                raise InvalidArgumentError("lifted target refused")
+            return normalize(values, method, window)
+
+        monkeypatch.setattr(estimator, "sample_bootstrap_series", failing_walk)
+        monkeypatch.setattr(estimator, "normalize", failing_normalize)
+        for indices in (range(9), range(1, 9, 3), range(k, 9, 4), range(5, 9)):
+            args = (src_fit, tgt_fits, configs, jobs, indices)
+            got = estimator._run_replicates(*args)
+            want = replicates_reference(*args)
+            assert len(got) == len(want) == len(jobs)
+            for (got_rows, got_failed), (want_rows, want_failed) in zip(got, want):
+                if want_failed is None:
+                    assert got_failed is None
+                    assert got_rows == want_rows
+                else:
+                    assert got_failed[0] == want_failed[0]
+                    assert type(got_failed[1]) is type(want_failed[1])
+                    assert str(got_failed[1]) == str(want_failed[1])
+            outcomes = [str(f[1]) if f else "ok" for _, f in got]
+            if indices == range(9):
+                assert outcomes[6] == "window 7 refused"
+                assert outcomes[7] == "lifted target refused"
+                assert f"walk {k} refused" in outcomes
+                # a source walk fails every job that did not fail before it
+                assert ("ok" in outcomes) == (walk_side == "target")
 
 
 class TestOnePoolPerCall:
@@ -387,9 +531,10 @@ class TestGridSearchOnePass:
         normalize = estimator.normalize
 
         def failing_normalize(values, method, window):
-            mine = (values.max() > 30) == (side == "target")
-            if window == 10 and mine and values[0] > values[-1]:
-                raise InvalidArgumentError(f"bad window from {values[0]!r}")
+            for row in values:  # a block of walks, one per row
+                mine = (row.max() > 30) == (side == "target")
+                if window == 10 and mine and row[0] > row[-1]:
+                    raise InvalidArgumentError(f"bad window from {row[0]!r}")
             return normalize(values, method, window)
 
         monkeypatch.setattr(estimator, "normalize", failing_normalize)

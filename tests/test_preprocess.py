@@ -10,7 +10,8 @@ from hypothesis.extra import numpy as hnp
 from scipy.special import ndtr
 
 from lagte import InvalidArgumentError, SpeedSeries, decompose, encode, normalize
-from lagte.core import FULL_WINDOW
+from lagte import preprocess
+from lagte.core import FULL_WINDOW, NORM_METHODS
 from lagte.preprocess import _window_quartiles, encode_fixed
 
 PHI_025 = 0.5987063256829237  # standard normal CDF at 0.25
@@ -33,12 +34,20 @@ tied_series = hnp.arrays(
 )
 
 
+# long enough that the window sums go past numpy's 8-way unrolled blocks
+long_series = hnp.arrays(
+    np.float64,
+    st.integers(min_value=100, max_value=300),
+    elements=st.floats(min_value=-1e6, max_value=1e6),
+)
+
+
 def window_sizes(length):
     return (1, 2, 5, length, FULL_WINDOW)
 
 
 def normalize_reference(values, method, w):
-    """The per-step loop that the window-matrix ``normalize`` replaces."""
+    """The per-step loop that the window-form ``normalize`` replaces."""
     out = np.empty(values.size)
     for t in range(values.size):
         window = values[0 if w == FULL_WINDOW else max(0, t - w + 1) : t + 1]
@@ -46,6 +55,10 @@ def normalize_reference(values, method, w):
             top = window.max()
             with np.errstate(over="ignore"):
                 out[t] = 0.0 if top == 0.0 else values[t] / top
+            continue
+        if method == "zscore":
+            sd = window.std()
+            out[t] = 0.0 if sd == 0.0 else (values[t] - window.mean()) / sd
             continue
         f25, f50, f75 = np.percentile(window, [25.0, 50.0, 75.0])
         iqr = f75 - f25
@@ -171,14 +184,52 @@ class TestNormalize:
         got = _window_quartiles(np.full(7, 4.25), 3)
         assert np.all(got == 4.25)
 
-    @given(series=st.one_of(finite_series, tied_series))
+    @given(series=st.one_of(finite_series, tied_series, long_series))
     @settings(max_examples=100, deadline=None)
     def test_matches_per_step_reference(self, series):
-        for w in window_sizes(series.size):
-            for method in ("nonlinear", "minmax"):
+        for w in (*window_sizes(series.size), 40):
+            for method in ("nonlinear", "minmax", "zscore"):
                 got = normalize(series, method, w)
                 want = normalize_reference(series, method, w)
                 assert got.tobytes() == want.tobytes()
+
+    @given(
+        block=hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 5), st.integers(1, 150)),
+            elements=st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+        ),
+        method=st.sampled_from(NORM_METHODS),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_block_rows_equal_their_own_calls(self, block, method):
+        for w in window_sizes(block.shape[1]):
+            got = normalize(block, method, w)
+            assert got.shape == block.shape
+            for row, out in zip(block, got):
+                assert out.tobytes() == normalize(row, method, w).tobytes()
+            if method != "none":
+                symbols = encode_fixed(got, (0.05, 0.95)).symbols
+                for out, sym in zip(got, symbols):
+                    want = encode_fixed(out, (0.05, 0.95)).symbols
+                    assert sym.tobytes() == want.tobytes()
+
+    def test_block_larger_than_one_window_batch(self, monkeypatch):
+        # a block whose windows span several capped batches, both across
+        # series and within one series
+        block = np.random.default_rng(5).normal(size=(7, 90))
+        for cap in (64, 500, 1 << 17):
+            monkeypatch.setattr(preprocess, "_BLOCK_ELEMS", cap)
+            for method in ("nonlinear", "minmax"):
+                for w in (3, FULL_WINDOW):
+                    got = normalize(block, method, w)
+                    for row, out in zip(block, got):
+                        want = normalize_reference(row, method, w)
+                        assert out.tobytes() == want.tobytes()
+
+    def test_rejects_three_dimensions(self):
+        with pytest.raises(InvalidArgumentError, match="dimensions"):
+            normalize(np.ones((2, 2, 2)), "minmax", 2)
 
     def test_rejects_nan(self):
         with pytest.raises(InvalidArgumentError):

@@ -174,3 +174,11 @@ class TestRunBatch:
     def test_rejects_empty_grid(self):
         with pytest.raises(InvalidArgumentError):
             run_batch([], [1.0], ["none"], [20], 1, fast_config())
+
+    def test_rejects_fractional_replicates(self):
+        with pytest.raises(InvalidArgumentError, match="replicates"):
+            run_batch([10], [1.0], ["none"], [20], 2.5, fast_config())
+
+    def test_rejects_bool_replicates(self):
+        with pytest.raises(InvalidArgumentError, match="replicates"):
+            run_batch([10], [1.0], ["none"], [20], True, fast_config())
