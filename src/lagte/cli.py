@@ -116,7 +116,10 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument("--seed", type=int, help=f"master seed (env {SEED_ENV_VAR})")
     parser.add_argument(
-        "--threads", type=int, help="worker cap (default: available parallelism)"
+        "--threads",
+        type=int,
+        help="worker count, the calling process included; 1 runs serially "
+        "(default: available parallelism)",
     )
     parser.add_argument(
         "-v", "--verbose", action="store_true", help="print per-item detail"

@@ -18,14 +18,16 @@ replicate.  Every replicate derives its own RNG substreams from the master
 seed, so results are bit-identical no matter how the replicates are
 scheduled across workers.  A walk's stream depends only on its series and
 the seed, so jobs with one source object, fit, seed and replicate count
-form a group.  A group's replicates run in blocks, and a block runs stage
-by stage: it walks the source and each target a job needs once per
-replicate; under each config it normalizes and encodes all of the
-source's walks as one 2-D block, and each needed target's walks as one
-block; then per replicate and config one lag scan, with that replicate's
-own shuffle stream, shares the source's surrogates among the config's
-targets.  With several workers, one process pool serves the outermost
-public call, and every group's blocks go to it before any is gathered.
+form a group.  A block of a group's replicates runs stage by stage: it
+walks the source and each target a job needs once per replicate; under
+each config it normalizes and encodes all of the source's walks as one
+2-D block, and each needed target's walks as one block; then per
+replicate and config one lag scan, with that replicate's own shuffle
+stream, shares the source's surrogates among the config's targets.
+``workers`` counts the calling process: a call splits every group's
+replicates into up to ``workers`` interleaved shares, one block per group
+each; the caller runs share 0, and each other share is one task for the
+pool that serves the outermost public call.  Serial is the one-share case.
 
 Grid search evaluates the pipeline over candidate observation lengths and
 normalization windows and picks the cell with the smallest variance ratio,
@@ -35,7 +37,7 @@ the configuration under which the delay estimate is most stable.
 from __future__ import annotations
 
 import math
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -270,14 +272,14 @@ def _pool(workers: Optional[int]):
 
     ``workers`` None or 1 runs serially and starts nothing.  Otherwise a
     call made inside another public call's pool reuses it, and the
-    outermost call opens one pool that closes when that call returns.
+    outermost call opens ``workers - 1`` processes, beside the caller.
     """
     if workers is None or workers <= 1:
         yield None
     elif _ACTIVE_POOL.get() is not None:
         yield _ACTIVE_POOL.get()
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
             token = _ACTIVE_POOL.set(pool)
             try:
                 yield pool
@@ -285,42 +287,31 @@ def _pool(workers: Optional[int]):
                 _ACTIVE_POOL.reset(token)
 
 
-def _start_replicates(pool, workers, source, targets, configs, jobs) -> list:
-    """Start every replicate of one source's jobs (see ``_run_replicates``).
-
-    Returns ``(indices, future)`` per block of replicates.  A serial run
-    computes its one block at once.  Blocks interleave the replicate
-    indices, so every worker gets a share of each part of the sequence.
-    """
-    indices = range(configs[0].boot_reps)
-    group = (source, targets, configs, jobs)
-    if pool is None:
-        done = Future()
-        done.set_result(_run_replicates(*group, indices))
-        return [(indices, done)]
-    blocks = [indices[i :: workers * 4] for i in range(workers * 4)]
+def _run_share(groups, part: int, parts: int) -> list:
+    """``_run_replicates`` of each group (its arguments but the indices) over
+    its share ``part`` of ``parts``, the replicates ``range(B)[part::parts]``."""
     return [
-        (block, pool.submit(_run_replicates, *group, block))
-        for block in blocks
-        if block
+        _run_replicates(*group, range(group[2][0].boot_reps)[part::parts])
+        for group in groups
     ]
 
 
-def _gather_replicates(blocks, n_outcomes: int, level: float) -> list:
+def _gather_replicates(shares, reps: int, level: float) -> list:
     """Per job, ``(LagSample, EstimateDetails)`` or its ``LagTEError``.
 
-    A failed outcome reports the error of its earliest failing replicate,
-    whatever the blocks were.
+    ``shares`` holds a group's outcomes of each ``_run_share``, in order.  A
+    failed outcome reports the error of its earliest failing replicate,
+    whatever the shares were.
     """
-    rows = [{} for _ in range(n_outcomes)]
-    failures = [[] for _ in range(n_outcomes)]
-    for indices, future in blocks:
-        for i, (block_rows, failure) in enumerate(future.result()):
-            rows[i].update(zip(indices, block_rows))
+    rows = [{} for _ in shares[0]]
+    failures = [[] for _ in shares[0]]
+    for k, outcomes in enumerate(shares):
+        for i, (share_rows, failure) in enumerate(outcomes):
+            rows[i].update(zip(range(reps)[k :: len(shares)], share_rows))
             if failure is not None:
                 failures[i].append(failure)
     out = []
-    for i in range(n_outcomes):
+    for i in range(len(rows)):
         if failures[i]:
             out.append(min(failures[i], key=lambda f: f[0])[1])
             continue
@@ -396,20 +387,21 @@ def estimate_delays(
         c = configs.setdefault(config, len(configs))
         members.setdefault((c, k), []).append(i)
 
+    runs = [  # per group, the arguments of ``_run_replicates`` but its indices
+        (src_fit, tuple(t for _, t in targets.values()), tuple(configs), tuple(members))
+        for src_fit, targets, configs, members in groups.values()
+    ]
     with _pool(workers) as pool:
-        started = []
-        for src_fit, targets, configs, members in groups.values():
-            tgt_fits = tuple(tgt_fit for _, tgt_fit in targets.values())
-            started.append(
-                _start_replicates(
-                    pool, workers, src_fit, tgt_fits, tuple(configs), tuple(members)
-                )
-            )
-        for (*_, members), blocks in zip(groups.values(), started):
-            outcomes = _gather_replicates(blocks, len(members), level)
-            for indices, outcome in zip(members.values(), outcomes):
-                for i in indices:
-                    results[i] = outcome
+        # at most one share per replicate of the largest group: none is empty
+        reps = max((key[-1] for key in groups), default=1)
+        parts = 1 if pool is None else min(workers, reps)
+        futures = [pool.submit(_run_share, runs, k, parts) for k in range(1, parts)]
+        shares = [_run_share(runs, 0, parts)] + [f.result() for f in futures]
+    for g, (key, (*_, members)) in enumerate(groups.items()):
+        outcomes = _gather_replicates([s[g] for s in shares], key[-1], level)
+        for job_indices, outcome in zip(members.values(), outcomes):
+            for i in job_indices:
+                results[i] = outcome
     return results
 
 
@@ -432,9 +424,10 @@ def estimate_delay(
         Equal-length series; ``source`` is the candidate cause.
     config : PipelineConfig
     workers : int, optional
-        Process count for replicate evaluation.  ``None`` or 1 runs
-        serially; results are identical either way.  A call made inside
-        another public call, such as ``run_batch``, shares its pool.
+        Process count for replicate evaluation, the calling process
+        included.  ``None`` or 1 runs serially; results are identical
+        either way.  A call made inside another public call, such as
+        ``run_batch``, shares its pool.
     level : float
         Confidence level of the reported interval.
     return_details : bool
@@ -478,8 +471,9 @@ def grid_search(
     length_grid : sequence of int
     window_grid : sequence of int or "full"
     workers : int, optional
-        Process count; with more than one, every cell shares one process
-        pool.  Results are identical either way.
+        Process count, the calling process included; with more than one,
+        every cell shares one process pool.  Results are identical either
+        way.
     estimate_fn : callable, optional
         Replacement for the cell evaluator with the same signature as
         ``estimate_delay(source, target, config, workers=...)``, called

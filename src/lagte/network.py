@@ -139,6 +139,30 @@ def _awareness(ts: datetime) -> str:
     return "naive" if ts.utcoffset() is None else "tz-aware"
 
 
+def _read_utf8(path) -> str:
+    """The text of a UTF-8 file; other bytes fail with the line they are on."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"not UTF-8 text: {exc.reason}", line=data.count(b"\n", 0, exc.start) + 1
+        )
+
+
+def _utf8_lines(path):
+    """Yield a UTF-8 file's lines as ``open(path, newline="")`` does; other
+    bytes fail as in ``_read_utf8``."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            yield from fh
+            return
+        except UnicodeDecodeError:
+            pass  # the file decodes in chunks, so the error cannot name a line
+    _read_utf8(path)
+
+
 def load_speed_csv(
     path,
     max_gap_minutes: float = 10.0,
@@ -163,47 +187,50 @@ def load_speed_csv(
         timestamps, over-long gap, or no data rows.
     """
     rows: Dict[str, list] = {}
-    first_ts = None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("missing header row", line=1)
-        if tuple(f.strip() for f in header) != CSV_HEADER:
-            raise ParseError(
-                f"expected header {','.join(CSV_HEADER)!r}: got {','.join(header)!r}",
-                line=1,
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ParseError(
-                    f"expected 3 fields, got {len(row)}", line=lineno
-                )
-            raw_ts, road, raw_speed = (f.strip() for f in row)
+    # raw timestamp -> (datetime, awareness); every road repeats each stamp
+    stamps: Dict[str, Tuple[datetime, str]] = {}
+    first = None  # the first data row's (datetime, awareness)
+    reader = csv.reader(_utf8_lines(path))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("missing header row", line=1)
+    if tuple(f.strip() for f in header) != CSV_HEADER:
+        raise ParseError(
+            f"expected header {','.join(CSV_HEADER)!r}: got {','.join(header)!r}",
+            line=1,
+        )
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise ParseError(f"expected 3 fields, got {len(row)}", line=lineno)
+        raw_ts, road, raw_speed = (f.strip() for f in row)
+        stamp = stamps.get(raw_ts)
+        if stamp is None:
             try:
                 ts = datetime.fromisoformat(raw_ts)
             except ValueError:
                 raise ParseError(f"bad timestamp {raw_ts!r}", line=lineno)
-            if first_ts is None:
-                first_ts = ts
-            elif _awareness(ts) != _awareness(first_ts):
-                raise ParseError(
-                    f"timestamp {raw_ts!r} is {_awareness(ts)} but the first "
-                    f"data row's {first_ts.isoformat()!r} is {_awareness(first_ts)}",
-                    line=lineno,
-                )
-            if not road:
-                raise ParseError("empty road_id", line=lineno)
-            try:
-                speed = float(raw_speed)
-            except ValueError:
-                raise ParseError(f"bad speed {raw_speed!r}", line=lineno)
-            if not math.isfinite(speed):
-                raise ParseError(f"non-finite speed {raw_speed!r}", line=lineno)
-            rows.setdefault(road, []).append((ts, speed, lineno))
+            stamp = stamps[raw_ts] = (ts, _awareness(ts))
+        ts, awareness = stamp
+        if first is None:
+            first = stamp
+        elif awareness != first[1]:
+            raise ParseError(
+                f"timestamp {raw_ts!r} is {awareness} but the first "
+                f"data row's {first[0].isoformat()!r} is {first[1]}",
+                line=lineno,
+            )
+        if not road:
+            raise ParseError("empty road_id", line=lineno)
+        try:
+            speed = float(raw_speed)
+        except ValueError:
+            raise ParseError(f"bad speed {raw_speed!r}", line=lineno)
+        if not math.isfinite(speed):
+            raise ParseError(f"non-finite speed {raw_speed!r}", line=lineno)
+        rows.setdefault(road, []).append((ts, speed, lineno))
 
     if not rows:
         raise DataError("no data rows")
@@ -585,11 +612,10 @@ def emit_report(
 
 def read_report_json(path) -> Tuple[PathReport, ...]:
     """Parse a JSON report file back into :class:`PathReport` objects."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}", line=exc.lineno)
+    try:
+        payload = json.loads(_read_utf8(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}", line=exc.lineno)
     if not isinstance(payload, dict) or payload.get("format") != REPORT_FORMAT:
         raise ParseError(f"not a {REPORT_FORMAT} file")
     try:
@@ -608,11 +634,10 @@ def load_path_spec(path) -> Tuple[str, datetime, Tuple[Tuple[str, ...], ...]]:
 
     Returns ``(incident_road, incident_time, paths)``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}", line=exc.lineno)
+    try:
+        payload = json.loads(_read_utf8(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}", line=exc.lineno)
     if not isinstance(payload, dict):
         raise ParseError("path spec must be a JSON object")
     try:

@@ -45,7 +45,13 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import ndtr
 
-from .core import FULL_WINDOW, InvalidArgumentError, NORM_METHODS, SpeedSeries
+from .core import (
+    FULL_WINDOW,
+    InvalidArgumentError,
+    NORM_METHODS,
+    SpeedSeries,
+    _is_int,
+)
 
 _CDF_FLOOR = np.nextafter(0.0, 1.0)
 _CDF_CEIL = np.nextafter(1.0, 0.0)
@@ -252,8 +258,9 @@ def normalize(
     - ``none``: the series unchanged.
 
     A 2-D ``series`` is a block of equal-length series, one per row; each
-    output row equals that row's own call bit for bit.  ``nonlinear``
-    rejects input containing NaN with ``InvalidArgumentError``.
+    output row equals that row's own call bit for bit.
+    ``InvalidArgumentError`` rejects a window that is neither a positive
+    integer nor ``"full"`` and, for ``nonlinear``, input containing NaN.
 
     Returns
     -------
@@ -271,8 +278,10 @@ def normalize(
         raise InvalidArgumentError(
             f"method must be one of {NORM_METHODS}: got {method!r}"
         )
-    if w != FULL_WINDOW and w < 1:
-        raise InvalidArgumentError(f"window must be >= 1 or {FULL_WINDOW!r}: got {w}")
+    if w != FULL_WINDOW and (not _is_int(w) or w < 1):
+        raise InvalidArgumentError(
+            f"window must be a positive integer or {FULL_WINDOW!r}: got {w!r}"
+        )
 
     if method == "none":
         return values.copy()
@@ -383,7 +392,8 @@ def encode_fixed(series: Sequence[float], bounds: Sequence[float]) -> SymbolSeri
     comparable where data-driven quantile bounds would drift with each
     input.  Boundary rules match ``encode``: at or below the lowest bound
     maps to 1, at or above the highest to ``len(bounds) + 1``.  A 2-D
-    ``series`` is a block of series, one per row, coded at once.
+    ``series`` is a block of series, one per row, coded at once.  Input
+    containing NaN is rejected with ``InvalidArgumentError``.
 
     Returns
     -------
@@ -397,6 +407,9 @@ def encode_fixed(series: Sequence[float], bounds: Sequence[float]) -> SymbolSeri
         )
     if values.size == 0:
         raise InvalidArgumentError("cannot encode an empty series")
+    if np.isnan(values).any():
+        # searchsorted sorts NaN past every bound, into the top symbol
+        raise InvalidArgumentError("cannot encode a series containing NaN")
     cuts = np.asarray(bounds, dtype=float)
     if cuts.size == 0:
         raise InvalidArgumentError("need at least one bin bound")

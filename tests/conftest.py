@@ -49,3 +49,19 @@ def pool_starts(monkeypatch):
 
     monkeypatch.setattr(estimator, "ProcessPoolExecutor", CountingPool)
     return starts
+
+
+@pytest.fixture
+def pool_tasks(pool_starts, monkeypatch):
+    """Record the function name of every task submitted to a lagte pool."""
+    from lagte import estimator
+
+    tasks = []
+
+    class CountingTasks(estimator.ProcessPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            tasks.append(fn.__name__)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(estimator, "ProcessPoolExecutor", CountingTasks)
+    return tasks

@@ -353,12 +353,12 @@ class TestStageMajorBlock:
 class TestOnePoolPerCall:
     def test_estimate_delay(self, sim_pair, pool_starts):
         estimate_delay(*sim_pair, fast_config(boot_reps=4), workers=2)
-        assert pool_starts == [2]
+        assert pool_starts == [1]  # the caller is the other worker
 
     def test_grid_search(self, sim_pair, pool_starts):
         config = fast_config(boot_reps=4, shuffle_reps=3)
         grid_search(*sim_pair, config, [80, 120], [20, FULL_WINDOW], workers=2)
-        assert pool_starts == [2]
+        assert pool_starts == [1]
 
     def test_serial_starts_none(self, sim_pair, pool_starts):
         config = fast_config(boot_reps=4, shuffle_reps=3)
@@ -366,6 +366,80 @@ class TestOnePoolPerCall:
         estimate_delay(*sim_pair, config)
         grid_search(*sim_pair, config, [80, 120], [20], workers=1)
         assert pool_starts == []
+
+
+class TestShares:
+    """The caller computes share 0 and each other nonempty share is one task."""
+
+    @staticmethod
+    def _jobs(sim_pair, reps):
+        source, target = sim_pair
+        other = SpeedSeries(target.values[::-1])
+        config = fast_config(boot_reps=reps, shuffle_reps=3, lag_max=8, window=10)
+        # two groups of unequal replicate counts, so a share can be empty
+        # for one group and not for the other
+        return [
+            (source, target, config),
+            (source, other, config.with_overrides(norm_method="minmax")),
+            (target, source, config.with_overrides(boot_reps=reps + 2)),
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("reps", [1, 2, 7])
+    def test_equals_per_job_reference(self, sim_pair, workers, reps, pool_tasks):
+        jobs = self._jobs(sim_pair, reps)
+        got = estimate_delays(jobs, workers=workers)
+        for (source, target, config), (sample, details) in zip(jobs, got):
+            fits = (estimator._fit(source, config), estimator._fit(target, config))
+            ((rows, failed),) = replicates_reference(
+                fits[0], fits[1:], (config,), ((0, 0),), range(config.boot_reps)
+            )
+            assert failed is None
+            assert details.lags == tuple(r[0] for r in rows)
+            assert details.best_ete == tuple(r[1] for r in rows)
+            assert details.restarts == sum(r[2] for r in rows)
+            assert sample == LagSample.from_lags(details.lags)
+        # shares 1 .. workers - 1, but none past the largest count, reps + 2
+        assert len(pool_tasks) == min(workers, reps + 2) - 1
+
+    def test_one_task_per_call(self, sim_pair, pool_tasks):
+        config = fast_config(boot_reps=5, shuffle_reps=3)
+        estimate_delay(*sim_pair, config, workers=2)
+        assert pool_tasks == ["_run_share"]
+        pool_tasks.clear()
+        grid_search(*sim_pair, config, [80, 120], [20, FULL_WINDOW], workers=2)
+        assert pool_tasks == ["_run_share"]  # one call for every cell
+
+    def test_single_replicate_submits_nothing(self, sim_pair, pool_tasks):
+        estimate_delay(*sim_pair, fast_config(boot_reps=1), workers=2)
+        assert pool_tasks == []
+
+    # at workers 2 the caller runs the even replicates and the child the odd
+    @pytest.mark.parametrize("doomed, first", [((2, 5), 2), ((4, 3), 3)])
+    def test_walk_failure_reports_earliest_replicate(
+        self, sim_pair, monkeypatch, doomed, first
+    ):
+        source, target = sim_pair
+        config = fast_config(boot_reps=6, shuffle_reps=3)
+        src_fit = estimator._fit(source, config)
+        doomed_walks = {
+            estimator._walk(*src_fit, config.seed, b, TAG_SOURCE_BOOT)[0].tobytes(): b
+            for b in doomed
+        }
+        walk = estimator.sample_bootstrap_series
+
+        def failing_walk(model, trend, length, rng, diagnostics=None):
+            boot = walk(model, trend, length, rng, diagnostics=diagnostics)
+            b = doomed_walks.get(boot.values.tobytes())
+            if b is not None:
+                raise InvalidArgumentError(f"walk {b} refused")
+            return boot
+
+        monkeypatch.setattr(estimator, "sample_bootstrap_series", failing_walk)
+        for workers in (1, 2):
+            (outcome,) = estimate_delays([(source, target, config)], workers=workers)
+            assert isinstance(outcome, InvalidArgumentError)
+            assert str(outcome) == f"walk {first} refused"
 
 
 def _stub_for_scores(score_by_window, reps=100):

@@ -8,6 +8,8 @@ from datetime import datetime
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lagte import (
     DataError,
@@ -183,6 +185,134 @@ class TestLoadSpeedCsv:
         series = load_speed_csv(_write(tmp_path, "i.csv", "\n".join(lines)))
         assert series["A"].values.tolist() == [1.0, 3.0]
         assert series["B"].values.tolist() == [2.0, 4.0]
+
+
+# the fuzzed loaders write one file per example into the test's tmp_path
+FUZZ = settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+VALID_CSV = ["timestamp,road_id,speed_kmh"] + [
+    f"2024-03-01T05:0{m}:00,{road},{50.0 + m}" for m in range(4) for road in "AB"
+]
+
+junk = st.text(max_size=12) | st.sampled_from(
+    ["", " ", "nan", "inf", "-1e999", "2024-02-30T05:00:00", "05:00", "+01:00"]
+)
+
+
+@st.composite
+def mutated_csv(draw):
+    """A valid speed CSV with a few fields, rows or bytes changed."""
+    rows = [line.split(",") for line in VALID_CSV]
+    for _ in range(draw(st.integers(1, 4))):
+        row = rows[draw(st.integers(1, len(rows) - 1))]
+        kind = draw(
+            st.sampled_from(["drop", "extra", "field", "tz", "repeat", "row"])
+        )
+        if kind == "drop" and row:
+            del row[draw(st.integers(0, len(row) - 1))]
+        elif kind == "extra":
+            row.append(draw(junk))
+        elif kind == "field" and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(junk)
+        elif kind == "tz" and row:
+            row[0] = row[0] + "+00:00" if "+" not in row[0] else row[0].split("+")[0]
+        elif kind == "repeat" and row:
+            row[0] = rows[draw(st.integers(1, len(rows) - 1))][0]
+        elif kind == "row":
+            rows.insert(draw(st.integers(1, len(rows))), list(row))
+    data = "\n".join(",".join(row) for row in rows).encode("utf-8")
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.binary(min_size=1, max_size=8)) + data[at:]
+    return data
+
+
+@st.composite
+def mutated_path_spec(draw):
+    """A valid path-spec JSON document with a value, key or bytes changed."""
+    json_values = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | junk,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(junk, inner, max_size=3),
+        max_leaves=6,
+    )
+    spec = {
+        "incident": {"road": "A", "time": "2024-03-01T06:44:00"},
+        "paths": [["A", "B"], ["A", "C", "D"]],
+    }
+    holder, key = draw(
+        st.sampled_from(
+            [(spec, "incident"), (spec, "paths"), (spec["incident"], "road"),
+             (spec["incident"], "time"), (spec["paths"], 0), (spec["paths"][1], 2)]
+        )
+    )
+    if draw(st.booleans()) and isinstance(holder, dict):
+        del holder[key]
+    else:
+        holder[key] = draw(json_values)
+    data = json.dumps(spec).encode("utf-8")
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.binary(min_size=1, max_size=8)) + data[at:]
+    return data
+
+
+class TestLoaderFuzz:
+    """Malformed files fail with a ``LagTEError`` subclass, and nothing else."""
+
+    @FUZZ
+    @given(data=mutated_csv())
+    def test_speed_csv_raises_only_lagte_errors(self, tmp_path, data):
+        path = tmp_path / "fuzz.csv"
+        path.write_bytes(data)
+        try:
+            series = load_speed_csv(str(path))
+        except ParseError as exc:
+            assert exc.line is not None  # every CSV parse error names its line
+        except LagTEError:
+            pass
+        else:
+            assert all(isinstance(s, SpeedSeries) for s in series.values())
+
+    @FUZZ
+    @given(data=mutated_path_spec())
+    def test_path_spec_raises_only_lagte_errors(self, tmp_path, data):
+        path = tmp_path / "fuzz.json"
+        path.write_bytes(data)
+        try:
+            load_path_spec(str(path))
+        except LagTEError:
+            pass
+
+    def test_bytes_that_are_no_utf8_name_their_line(self, tmp_path):
+        data = "\n".join(VALID_CSV[:3]).encode("utf-8") + b"\n2024\xff,A,1.0\n"
+        path = tmp_path / "latin.csv"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match="UTF-8") as err:
+            load_speed_csv(str(path))
+        assert err.value.line == 4
+        path.write_bytes(b'{"incident": "\xff"}')
+        with pytest.raises(ParseError, match="UTF-8"):
+            load_path_spec(str(path))
+
+    def test_repeated_tz_mixed_stamp_names_its_first_line(self, tmp_path):
+        # the offending stamp repeats; the error names the first line with it
+        lines = [
+            "timestamp,road_id,speed_kmh",
+            "2024-03-01T05:00:00,A,10.0",
+            "2024-03-01T05:00:00,B,10.0",
+            "2024-03-01T05:01:00,A,11.0",
+            "2024-03-01T05:01:00+00:00,B,11.0",
+            "2024-03-01T05:01:00+00:00,C,11.0",
+            "2024-03-01T05:01:00+00:00,B,11.0",
+        ]
+        with pytest.raises(ParseError, match="tz-aware") as err:
+            load_speed_csv(_write(tmp_path, "tz.csv", "\n".join(lines)))
+        assert err.value.line == 5
 
 
 class TestExtractIncidentWindow:
@@ -488,7 +618,7 @@ class TestAnalyzePaths:
         assert pool_starts == []
         with _warns_constant_road():
             analyze_paths(net, config, workers=2, consecutive=True, **FAST_KW)
-        assert pool_starts == [2]
+        assert pool_starts == [1]
 
     def test_one_estimate_delays_call(self, monkeypatch):
         calls = []

@@ -239,6 +239,21 @@ class TestNormalize:
         with pytest.raises(InvalidArgumentError):
             normalize([1.0], "fourier")
 
+    @pytest.mark.parametrize("method", NORM_METHODS)
+    @pytest.mark.parametrize("w", [2.5, 2.0, True, 0, -3, "half", None])
+    def test_rejects_window_that_is_no_positive_integer(self, method, w):
+        with pytest.raises(InvalidArgumentError) as err:
+            normalize([1.0, 2.0, 3.0], method, w)
+        assert str(err.value) == (
+            f"window must be a positive integer or {FULL_WINDOW!r}: got {w!r}"
+        )
+
+    @pytest.mark.parametrize("method", NORM_METHODS)
+    def test_accepts_numpy_integer_window(self, method):
+        series = [1.0, 2.0, 3.0]
+        got = normalize(series, method, np.int64(2))
+        assert got.tobytes() == normalize(series, method, 2).tobytes()
+
     def test_rejects_empty(self):
         with pytest.raises(InvalidArgumentError):
             normalize([], "none")
@@ -302,6 +317,14 @@ class TestEncodeFixed:
     def test_rejects_unsorted_bounds(self):
         with pytest.raises(InvalidArgumentError):
             encode_fixed([0.5], (0.95, 0.05))
+
+    @pytest.mark.parametrize(
+        "values", [[float("nan"), 0.5], [[0.5, 0.2], [0.1, float("nan")]]]
+    )
+    def test_rejects_nan(self, values):
+        # searchsorted would sort NaN past every bound, into the top symbol
+        with pytest.raises(InvalidArgumentError, match="NaN"):
+            encode_fixed(values, (0.05, 0.95))
 
     def test_rejects_empty(self):
         with pytest.raises(InvalidArgumentError):

@@ -169,7 +169,7 @@ class TestRunBatch:
         run_batch(*args, workers=1)
         assert pool_starts == []
         run_batch(*args, workers=2)
-        assert pool_starts == [2]
+        assert pool_starts == [1]
 
     def test_rejects_empty_grid(self):
         with pytest.raises(InvalidArgumentError):
