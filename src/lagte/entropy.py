@@ -31,7 +31,12 @@ The source half of that array -- the source and its shuffled surrogates --
 does not depend on the target.  ``best_lags`` fills it once and counts
 it against any number of targets, each of which gets exactly what
 ``best_lag`` would give it from the same ``rng`` state; ``best_lag`` is
-its one-target case.
+its one-target case.  The shuffle draw does not depend on the source
+either, only on the lag count, the surrogate count and the length:
+``best_lags_shared`` draws it once as permuted indices for several
+sources (say, one series coded under several configs), and counts of one
+shape share one TE pass.  ``best_lags`` is its one-source case, and
+shuffles its source in place without an index array.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import InvalidArgumentError, PipelineConfig
+from .core import InvalidArgumentError, LagTEError, PipelineConfig, _is_int
 from .preprocess import SymbolSeries
 
 __all__ = [
@@ -52,6 +57,7 @@ __all__ = [
     "effective_transfer_entropy",
     "best_lag",
     "best_lags",
+    "best_lags_shared",
 ]
 
 # Plug-in TE is nonnegative in exact arithmetic; accumulated rounding can
@@ -110,7 +116,10 @@ def shannon_entropy(probabilities: Sequence[float]) -> float:
     float
         ``-sum(p * log2(p))`` with the ``0 * log2(0) = 0`` convention.
     """
-    p = np.asarray(probabilities, dtype=float)
+    try:
+        p = np.asarray(probabilities, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"probabilities must be numbers: {exc}") from exc
     if p.ndim != 1 or p.size == 0:
         raise InvalidArgumentError("probabilities must be a nonempty 1-d sequence")
     if np.any(p < 0.0):
@@ -149,6 +158,8 @@ def _as_codes(series: SymbolsLike, name: str) -> np.ndarray:
 
 
 def _check_lag(u_max: int, length: int) -> None:
+    if not _is_int(u_max):
+        raise InvalidArgumentError(f"lag must be an integer: got {u_max!r}")
     if u_max < 1:
         raise InvalidArgumentError(f"lag must be >= 1: got {u_max}")
     if u_max > length - 2:
@@ -197,7 +208,7 @@ def _te_from_counts(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
     count.  Every distribution in the conditional-mutual-information
     identity is a marginal of the same tensor, evaluated in one pass.
     """
-    c = counts.astype(float)
+    c = np.asarray(counts, dtype=float)
     d_ab = _axis_sum(c, 3)  # joint of (i_t, i_{t-1})
     m_bc = _axis_sum(c, 1)  # joint of (i_{t-1}, j_{t-u})
     e_b = _axis_sum(m_bc, 2)  # marginal of i_{t-1}
@@ -223,7 +234,7 @@ def _lag_counts(
 ) -> np.ndarray:
     """Triple counts of every row of a source code array against one target.
 
-    ``rows`` is the ``(lags, shuffles + 1, L)`` array of ``_count_targets``.
+    ``rows`` is a ``(lags, shuffles + 1, L)`` array of ``_shuffled_rows``.
     Returns shape ``(len(lags) * (shuffles + 1), n_t, n_t, n_s)``, in the
     row order of ``rows``.  The target's pair codes are added to ``rows``
     into ``out`` (a new array when None, or ``rows`` itself), and one
@@ -253,51 +264,88 @@ def _lag_counts(
     return counts.reshape(n_lags * reps, n_t, n_t, n_s)
 
 
-def _count_targets(
-    src: np.ndarray, tgts: Sequence[np.ndarray], lags: np.ndarray, shuffles: int, rng
-) -> list:
-    """Triple counts of the source and its surrogates against each target.
+def _shuffled_rows(values: np.ndarray, n_lags: int, shuffles: int, rng) -> np.ndarray:
+    """``(n_lags, shuffles + 1, L)`` copies of ``values``, all but the first
+    of each lag permuted.
 
-    The source fills one ``(lags, shuffles + 1, L)`` code array; within
-    each lag, row 0 is the source itself and the rest are permutations,
-    drawn lag by lag and surrogate by surrogate from ``rng`` (the same
-    stream as one ``rng.permutation`` call each).  Every target but the
-    last counts a copy of that array; the last adds its codes in place,
-    so a one-target scan allocates a single code array.
+    Within each lag, row 0 is ``values`` itself and the rest are
+    permutations, drawn lag by lag and surrogate by surrogate from ``rng``
+    (the same stream as one ``rng.permutation`` call each).  The draws
+    depend only on ``L`` and the row count, not on the values, so the rows
+    of ``arange(L)`` index the same permutations of any series.
     """
-    rows = np.empty((lags.size, shuffles + 1, src.size), dtype=np.intp)
-    rows[:] = src
+    rows = np.empty((n_lags, shuffles + 1, values.size), dtype=np.intp)
+    rows[:] = values
     if shuffles:
         surrogates = rows[:, 1:]
         rng.permuted(surrogates, axis=2, out=surrogates)
-    *others, last = tgts
-    counts = [_lag_counts(rows, tgt, lags) for tgt in others]
-    counts.append(_lag_counts(rows, last, lags, out=rows))
+    return rows
+
+
+def _count_draw(scans: Sequence[tuple], shuffles: int, rng) -> list:
+    """Per scan, the triple counts of its source and surrogates against
+    each of its targets, all from one shuffle draw.
+
+    ``scans`` holds ``(src, tgts, lags)`` items with sources of one length
+    and lag ranges of one size.  One scan fills its code array with its
+    source and permutes it in place.  Several draw the permutations once
+    as an index array and gather each source through it.  Every target but
+    a scan's last counts a copy of its code array; the last adds its codes
+    in place, so a one-target scan allocates a single code array.
+    """
+    n_lags, length = scans[0][2].size, scans[0][0].size
+    index = None
+    if len(scans) > 1:
+        index = _shuffled_rows(np.arange(length), n_lags, shuffles, rng)
+    counts = []
+    for src, tgts, lags in scans:
+        if index is None:
+            rows = _shuffled_rows(src, n_lags, shuffles, rng)
+        else:
+            rows = np.take(src, index)
+        *others, last = tgts
+        counts.append([_lag_counts(rows, tgt, lags) for tgt in others])
+        counts[-1].append(_lag_counts(rows, last, lags, out=rows))
     return counts
 
 
-def _scan_targets(
-    src: np.ndarray, tgts: Sequence[np.ndarray], lags: np.ndarray, shuffles: int, rng
-) -> list:
-    """Transfer entropy of the source and its surrogates against each target.
+def _scan_draw(scans: Sequence[tuple], shuffles: int, rng) -> list:
+    """Transfer entropy of each scan's source and surrogates against each
+    of its targets, from one shuffle draw.
 
-    Returns one ``(len(lags), shuffles + 1)`` array per target; column 0
-    is the source itself, the rest are its surrogates.  Counting is a
-    separate call so that the code arrays are freed before the TE
-    temporaries are allocated, which keeps the peak memory down.
+    Returns, per scan of ``_count_draw``, one ``(len(lags), shuffles + 1)``
+    array per target; column 0 is the source itself, the rest are its
+    surrogates.  Each scan gets the bytes it would get alone from ``rng``
+    in the state this call found it in.  Counting is a separate call so
+    that the code arrays are freed before the TE temporaries are
+    allocated, which keeps the peak memory down.  Counts of one shape go
+    through one TE pass, which evaluates each row on its own.
     """
-    counts = _count_targets(src, tgts, lags, shuffles, rng)
-    totals = np.repeat((src.size - lags).astype(float), shuffles + 1)
-    return [
-        _te_from_counts(c, totals).reshape(lags.size, shuffles + 1) for c in counts
+    counts = _count_draw(scans, shuffles, rng)
+    n_lags, length = scans[0][2].size, scans[0][0].size
+    totals = [
+        np.repeat((length - lags).astype(float), shuffles + 1) for *_, lags in scans
     ]
+    by_shape = {}  # count shape -> [(scan index, target index)]
+    for i, per_target in enumerate(counts):
+        for k, c in enumerate(per_target):
+            by_shape.setdefault(c.shape, []).append((i, k))
+    out = [[None] * len(per_target) for per_target in counts]
+    for members in by_shape.values():
+        te = _te_from_counts(
+            np.concatenate([counts[i][k] for i, k in members], dtype=float),
+            np.concatenate([totals[i] for i, _ in members]),
+        )
+        for (i, k), scan in zip(members, te.reshape(len(members), n_lags, -1)):
+            out[i][k] = scan
+    return out
 
 
 def _scan_lags(
     src: np.ndarray, tgt: np.ndarray, lags: np.ndarray, shuffles: int, rng
 ) -> np.ndarray:
-    """The one-target case of ``_scan_targets``."""
-    return _scan_targets(src, [tgt], lags, shuffles, rng)[0]
+    """The one-scan, one-target case of ``_scan_draw``."""
+    return _scan_draw([(src, [tgt], lags)], shuffles, rng)[0][0]
 
 
 def transfer_entropy(source: SymbolsLike, target: SymbolsLike, u: int) -> float:
@@ -354,10 +402,14 @@ def effective_transfer_entropy(
     (ete, te, shuffle_mean) : tuple of float
         ``ete == te - shuffle_mean`` exactly.
     """
-    if shuffles < 1:
-        raise InvalidArgumentError(f"shuffles must be >= 1: got {shuffles}")
-    if rng is None:
-        raise InvalidArgumentError("an explicit rng is required")
+    if not _is_int(shuffles) or shuffles < 1:
+        raise InvalidArgumentError(
+            f"shuffles must be an integer >= 1: got {shuffles!r}"
+        )
+    if not isinstance(rng, np.random.Generator):
+        raise InvalidArgumentError(
+            f"an explicit numpy Generator rng is required: got {rng!r}"
+        )
     src, tgt = _symbol_pair(source, target, u)
     scan = _scan_lags(src, tgt, np.array([u]), shuffles, rng)
     te, shuffle_mean = float(scan[0, 0]), float(scan[0, 1:].mean())
@@ -376,19 +428,10 @@ def _pick_lag(lags: np.ndarray, scan: np.ndarray) -> Tuple[int, LagTEProfile]:
     return profile.best(), profile
 
 
-def best_lags(
-    source: SymbolsLike,
-    targets: Sequence[SymbolsLike],
-    config: PipelineConfig,
-    rng: np.random.Generator,
-) -> List[Tuple[int, LagTEProfile]]:
-    """``best_lag`` of one source against each of ``targets``.
-
-    The source's shuffled surrogates are drawn once and shared: entry
-    ``k`` equals ``best_lag(source, targets[k], config, rng)`` called with
-    ``rng`` in the state this call found it in, and ``rng`` advances as
-    one ``best_lag`` call advances it.
-    """
+def _scan_item(
+    source: SymbolsLike, targets: Sequence[SymbolsLike], config: PipelineConfig
+) -> tuple:
+    """The ``(src, tgts, lags)`` scan of one ``best_lags`` call, validated."""
     if len(targets) == 0:
         raise InvalidArgumentError("need at least one target")
     src = _as_codes(source, "source")
@@ -397,9 +440,69 @@ def best_lags(
         tgts.append(_as_codes(target, "target"))
         _check_lengths(src, tgts[-1])
     _check_lag(config.lag_max, src.size)
-    lags = np.arange(config.lag_min, config.lag_max + 1)
-    scans = _scan_targets(src, tgts, lags, config.shuffle_reps, rng)
-    return [_pick_lag(lags, scan) for scan in scans]
+    return src, tgts, np.arange(config.lag_min, config.lag_max + 1)
+
+
+def best_lags_shared(
+    items: Sequence[Tuple[SymbolsLike, Sequence[SymbolsLike], PipelineConfig]],
+    rng: np.random.Generator,
+) -> list:
+    """``best_lags`` of several ``(source, targets, config)`` items from one
+    shuffle draw.
+
+    The items' configs must have one lag count and one ``shuffle_reps``,
+    and their sources one length: the surrogates' permutations are then
+    drawn once and shared by every item, even when the lag ranges start at
+    different lags.  Entry ``i`` equals ``best_lags(*items[i], rng)`` called
+    with ``rng`` in the state this call found it in, or the ``LagTEError``
+    that call would raise, and ``rng`` advances as one such call advances
+    it.  An item that fails its checks fails alone.
+    """
+    scans, shapes = [], set()
+    for source, targets, config in items:
+        try:
+            scans.append(_scan_item(source, targets, config))
+        except LagTEError as exc:
+            scans.append(exc)
+            continue
+        shapes.add((scans[-1][0].size, scans[-1][2].size, config.shuffle_reps))
+    valid = [scan for scan in scans if not isinstance(scan, LagTEError)]
+    if len(shapes) > 1:
+        raise InvalidArgumentError(
+            "items of one draw need equal source lengths, lag counts and "
+            f"shuffle counts: got (length, lags, shuffles) in {sorted(shapes)}"
+        )
+    if not valid:
+        return scans
+    results = iter(_scan_draw(valid, shapes.pop()[2], rng))
+    return [
+        scan
+        if isinstance(scan, LagTEError)
+        else [_pick_lag(scan[2], te) for te in next(results)]
+        for scan in scans
+    ]
+
+
+def best_lags(
+    source: SymbolsLike,
+    targets: Sequence[SymbolsLike],
+    config: PipelineConfig,
+    rng: np.random.Generator,
+) -> List[Tuple[int, LagTEProfile]]:
+    """``best_lag`` of one source against each of ``targets``; the
+    one-item case of ``best_lags_shared``.
+
+    The source's shuffled surrogates are drawn once and shared: entry
+    ``k`` equals ``best_lag(source, targets[k], config, rng)`` called with
+    ``rng`` in the state this call found it in, and ``rng`` advances as
+    one ``best_lag`` call advances it.  ``estimate_delays`` goes further:
+    configs of one group with equal lag and shuffle counts share each
+    replicate's draw through ``best_lags_shared``.
+    """
+    (picks,) = best_lags_shared([(source, targets, config)], rng)
+    if isinstance(picks, LagTEError):
+        raise picks
+    return picks
 
 
 def best_lag(

@@ -158,8 +158,10 @@ def decompose(series: Union[SpeedSeries, Sequence[float]], m: int) -> Decomposit
     )
     if values.size == 0:
         raise InvalidArgumentError("cannot decompose an empty series")
-    if m < 1:
-        raise InvalidArgumentError(f"moving-average order must be >= 1: got {m}")
+    if not _is_int(m) or m < 1:
+        raise InvalidArgumentError(
+            f"moving-average order must be an integer >= 1: got {m!r}"
+        )
 
     l = values.size
     cs = np.concatenate(([0.0], np.cumsum(values)))
@@ -339,7 +341,8 @@ def encode(
 
     Low-variance data can produce coinciding bounds; the resulting empty
     bins are collapsed with a warning, shrinking the effective alphabet.  A
-    constant series encodes entirely to symbol 1.
+    constant series encodes entirely to symbol 1.  Input containing NaN is
+    rejected with ``InvalidArgumentError``, as in ``encode_fixed``.
 
     Returns
     -------
@@ -350,6 +353,9 @@ def encode(
         raise InvalidArgumentError("encode takes one 1-d series")
     if values.size == 0:
         raise InvalidArgumentError("cannot encode an empty series")
+    if np.isnan(values).any():
+        # NaN bounds would collapse every bin and blame low variance
+        raise InvalidArgumentError("cannot encode a series containing NaN")
     if n < 2:
         raise InvalidArgumentError(f"need at least 2 bins: got {n}")
     probs = np.asarray(quantile_probs, dtype=float)

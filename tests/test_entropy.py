@@ -16,7 +16,14 @@ from lagte import (
     shannon_entropy,
     transfer_entropy,
 )
-from lagte.entropy import _as_codes, _scan_lags, _te_from_counts, best_lags
+from lagte.entropy import (
+    _as_codes,
+    _scan_draw,
+    _scan_lags,
+    _te_from_counts,
+    best_lags,
+    best_lags_shared,
+)
 from conftest import fast_config
 
 
@@ -46,8 +53,11 @@ def te_oracle(source, target, u):
     return total
 
 
-class _IdentityRng:
+class _IdentityRng(np.random.Generator):
     """Stub rng whose permutation is the identity."""
+
+    def __init__(self):
+        super().__init__(np.random.PCG64(0))
 
     def permuted(self, x, axis=None, out=None):
         if out is None:
@@ -324,6 +334,187 @@ class TestBestLags:
             best_lags(source, [], config, rng)
         with pytest.raises(InvalidArgumentError, match="lengths differ"):
             best_lags(source, [source, np.ones(19, dtype=int)], config, rng)
+
+
+def _shared_draw_items(data, length, n_items, shuffles):
+    """``best_lags`` items of one lag count: random alphabets of 1 to 4
+    symbols, 1 to 3 targets each, lag ranges starting anywhere."""
+    n_lags = data.draw(st.integers(min_value=1, max_value=length - 2))
+
+    def series():
+        n = data.draw(st.integers(min_value=1, max_value=4))
+        return data.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=n - 1),
+                min_size=length,
+                max_size=length,
+            )
+        )
+
+    items = []
+    for _ in range(n_items):
+        lag_min = data.draw(st.integers(min_value=1, max_value=length - 1 - n_lags))
+        config = PipelineConfig(
+            lag_min=lag_min, lag_max=lag_min + n_lags - 1, shuffle_reps=shuffles
+        )
+        n_targets = data.draw(st.integers(min_value=1, max_value=3))
+        items.append((series(), [series() for _ in range(n_targets)], config))
+    return items
+
+
+class TestSharedDraw:
+    """Scans of one lag count that share a shuffle draw get the bytes each
+    would get alone."""
+
+    @given(
+        data=st.data(),
+        length=st.integers(min_value=4, max_value=40),
+        n_items=st.integers(min_value=1, max_value=4),
+        shuffles=st.integers(min_value=0, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_scan_equals_each_scan_alone(self, data, length, n_items, shuffles, seed):
+        items = _shared_draw_items(data, length, n_items, max(shuffles, 1))
+        scans = [
+            (
+                _as_codes(source, "source"),
+                [_as_codes(t, "target") for t in targets],
+                np.arange(config.lag_min, config.lag_max + 1),
+            )
+            for source, targets, config in items
+        ]
+        rng_shared = np.random.default_rng(seed)
+        got = _scan_draw(scans, shuffles, rng_shared)
+        for (src, tgts, lags), per_target in zip(scans, got):
+            for tgt, scan in zip(tgts, per_target):
+                rng_own = np.random.default_rng(seed)
+                want = _scan_lags(src, tgt, lags, shuffles, rng_own)
+                assert scan.tobytes() == want.tobytes()
+                assert rng_shared.bit_generator.state == rng_own.bit_generator.state
+
+    @given(
+        data=st.data(),
+        length=st.integers(min_value=4, max_value=40),
+        n_items=st.integers(min_value=1, max_value=4),
+        shuffles=st.integers(min_value=1, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equals_per_item_best_lags(self, data, length, n_items, shuffles, seed):
+        items = _shared_draw_items(data, length, n_items, shuffles)
+        # an item whose last target is one sample short fails on its own
+        broken = data.draw(st.sets(st.integers(min_value=0, max_value=n_items - 1)))
+        for i in broken:
+            items[i][1].append(items[i][1][-1][:-1])
+        rng_shared = np.random.default_rng(seed)
+        got = best_lags_shared(items, rng_shared)
+        assert len(got) == n_items
+        for i, (item, outcome) in enumerate(zip(items, got)):
+            rng_own = np.random.default_rng(seed)
+            if i in broken:
+                with pytest.raises(InvalidArgumentError) as exc:
+                    best_lags(*item, rng_own)
+                assert type(outcome) is type(exc.value)
+                assert str(outcome) == str(exc.value)
+                continue
+            want = best_lags(*item, rng_own)
+            assert len(outcome) == len(want)
+            for (got_lag, got_p), (want_lag, want_p) in zip(outcome, want):
+                assert got_lag == want_lag
+                for field in ("lags", "te", "ete", "shuffle_mean"):
+                    got_bytes = np.array(getattr(got_p, field)).tobytes()
+                    assert got_bytes == np.array(getattr(want_p, field)).tobytes()
+            assert rng_shared.bit_generator.state == rng_own.bit_generator.state
+
+    def test_rejects_items_of_another_shape(self):
+        source = np.arange(20) % 3
+        config = fast_config(lag_max=5)
+        rng = np.random.default_rng(0)
+        for other in (
+            config.with_overrides(lag_max=6),
+            config.with_overrides(shuffle_reps=config.shuffle_reps + 1),
+        ):
+            with pytest.raises(InvalidArgumentError, match="one draw"):
+                best_lags_shared(
+                    [(source, [source], config), (source, [source], other)], rng
+                )
+        with pytest.raises(InvalidArgumentError, match="one draw"):
+            best_lags_shared(
+                [(source, [source], config), (source[1:], [source[1:]], config)], rng
+            )
+
+
+class TestArgumentChecks:
+    """Bad arguments raise ``InvalidArgumentError``, not a raw numpy or
+    Python error, and a bool is no integer."""
+
+    SERIES = np.array([1, 2, 1, 3, 2, 1, 2, 3, 1, 2])
+
+    @pytest.mark.parametrize("u", [2.5, True])
+    def test_transfer_entropy_lag(self, u):
+        with pytest.raises(InvalidArgumentError, match="integer"):
+            transfer_entropy(self.SERIES, self.SERIES, u)
+
+    @pytest.mark.parametrize("u", [2.5, True])
+    def test_effective_transfer_entropy_lag(self, u):
+        with pytest.raises(InvalidArgumentError, match="integer"):
+            effective_transfer_entropy(
+                self.SERIES, self.SERIES, u, shuffles=2, rng=np.random.default_rng(0)
+            )
+
+    @pytest.mark.parametrize("shuffles", [2.5, True])
+    def test_effective_transfer_entropy_shuffles(self, shuffles):
+        with pytest.raises(InvalidArgumentError, match="shuffles"):
+            effective_transfer_entropy(
+                self.SERIES,
+                self.SERIES,
+                1,
+                shuffles=shuffles,
+                rng=np.random.default_rng(0),
+            )
+
+    @pytest.mark.parametrize("rng", [5, np.random.RandomState(0)])
+    def test_effective_transfer_entropy_rng(self, rng):
+        with pytest.raises(InvalidArgumentError, match="Generator"):
+            effective_transfer_entropy(self.SERIES, self.SERIES, 1, shuffles=2, rng=rng)
+
+    def test_shannon_entropy_of_strings(self):
+        with pytest.raises(InvalidArgumentError, match="numbers"):
+            shannon_entropy(["a"])
+
+
+def coupled_pair(u0, length, rng, drive=0.3, keep=0.3):
+    """A Markov coupling of target history 1: each target symbol copies the
+    source ``u0`` steps back with probability ``drive``, else repeats the
+    previous target symbol with probability ``keep``, else is uniform noise.
+    The source is uniform on three symbols."""
+    source = rng.integers(0, 3, length)
+    target = rng.integers(0, 3, length)
+    draw = rng.random(length)
+    for t in range(u0, length):
+        if draw[t] < drive:
+            target[t] = source[t - u0]
+        elif draw[t] < drive + keep:
+            target[t] = target[t - 1]
+    return source, target
+
+
+class TestDelayReconstruction:
+    """Wibral et al. (PLoS ONE 8:e55809, 2013): the lag that maximizes TE
+    recovers the coupling delay."""
+
+    def test_ete_argmax_recovers_u0(self):
+        config = PipelineConfig(lag_max=16, shuffle_reps=10)
+        hits = draws = 0
+        for u0 in (2, 5, 9, 14):
+            for seed in range(50):
+                rng = np.random.default_rng([seed, u0])
+                source, target = coupled_pair(u0, 300, rng)
+                u_hat, _ = best_lag(source, target, config, np.random.default_rng(seed))
+                hits += u_hat == u0
+                draws += 1
+        assert hits >= 0.95 * draws
 
 
 class TestBestLag:

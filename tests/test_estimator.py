@@ -18,6 +18,7 @@ from lagte import (
 )
 from lagte.core import FULL_WINDOW, TAG_SHUFFLE, TAG_SOURCE_BOOT, TAG_TARGET_BOOT
 from lagte import estimator
+from lagte.entropy import best_lags
 from lagte.estimator import estimate_delays
 from conftest import fast_config
 
@@ -258,7 +259,7 @@ def replicates_reference(source, targets, configs, jobs, indices):
                 continue
             try:
                 rng = estimator.derive_replicate_rng(config.seed, b, TAG_SHUFFLE)
-                picks = estimator.best_lags(
+                picks = best_lags(
                     src[0], [sym for sym, _ in coded.values()], config, rng
                 )
             except LagTEError as exc:
@@ -348,6 +349,82 @@ class TestStageMajorBlock:
                 assert f"walk {k} refused" in outcomes
                 # a source walk fails every job that did not fail before it
                 assert ("ok" in outcomes) == (walk_side == "target")
+
+
+class TestSharedShuffleDraw:
+    """Configs of one group with equal lag and shuffle counts share each
+    replicate's shuffle draw, and still fail one by one."""
+
+    @staticmethod
+    def _count_shuffle_streams(monkeypatch):
+        tags = []
+        derive = estimator.derive_replicate_rng
+
+        def counting(seed, b, tag):
+            tags.append(tag)
+            return derive(seed, b, tag)
+
+        monkeypatch.setattr(estimator, "derive_replicate_rng", counting)
+        return tags
+
+    def test_grid_derives_one_stream_per_replicate_and_length(
+        self, sim_pair, monkeypatch
+    ):
+        tags = self._count_shuffle_streams(monkeypatch)
+        config = fast_config(boot_reps=4, shuffle_reps=3)
+        grid_search(*sim_pair, config, [80, 120], [10, 20, FULL_WINDOW], workers=1)
+        assert tags.count(TAG_SHUFFLE) == 2 * 4  # one per config would be 24
+
+    def test_configs_of_another_shape_draw_their_own(self, sim_pair, monkeypatch):
+        tags = self._count_shuffle_streams(monkeypatch)
+        config = fast_config(boot_reps=4, shuffle_reps=3, lag_max=8)
+        configs = (
+            config,
+            config.with_overrides(lag_min=2, lag_max=9),  # one lag count
+            config.with_overrides(window=10, shuffle_reps=4),
+            config.with_overrides(lag_max=9),
+        )
+        jobs = [(*sim_pair, c) for c in configs]
+        got = estimate_delays(jobs, workers=1)
+        assert tags.count(TAG_SHUFFLE) == 3 * 4
+        for job, outcome in zip(jobs, got):
+            assert outcome == estimate_delay(*job, return_details=True)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_scan_error_fails_only_its_config(self, sim_pair, monkeypatch, workers):
+        source, target = sim_pair
+        other = SpeedSeries(target.values[::-1])
+        config = fast_config(boot_reps=5, shuffle_reps=3, window=10)
+        doomed = config.with_overrides(window=20)
+        jobs = [
+            (source, target, config),
+            (source, other, config),
+            (source, target, doomed),
+            (source, other, doomed),
+            (source, target, config.with_overrides(norm_method="minmax")),
+        ]
+        code = estimator._code
+
+        def half_coded(walks, config, step):
+            # replicate 2 of the doomed config's source gets half-integer
+            # symbols, which its lag scan rejects
+            symbols, failure = code(walks, config, step)
+            source = step == estimator._SOURCE_CODING
+            if config.window == 20 and source and 2 in symbols:
+                symbols[2] = symbols[2] + 0.5
+            return symbols, failure
+
+        monkeypatch.setattr(estimator, "_code", half_coded)
+        got = estimate_delays(jobs, workers=workers)
+        for i, (job, outcome) in enumerate(zip(jobs, got)):
+            if job[2] is doomed:
+                assert isinstance(outcome, InvalidArgumentError)
+                assert "integer symbols" in str(outcome)
+                with pytest.raises(InvalidArgumentError) as exc:
+                    estimate_delay(*job)
+                assert str(outcome) == str(exc.value)
+            else:
+                assert outcome == estimate_delay(*job, return_details=True)
 
 
 class TestOnePoolPerCall:

@@ -24,6 +24,7 @@ from lagte import (
     run_batch,
 )
 from lagte.core import FULL_WINDOW
+from lagte.estimator import estimate_delays
 
 # sha256(repr(lags)) at B=4, seed 2021, on the default pair at noise 2.0;
 # every method and window gives a different lag sample there
@@ -145,3 +146,39 @@ def test_grid_matches_golden_digest(noisy_pair, workers):
     )
     lags = tuple(tuple(int(u) for u in s.lags) for s in result.samples)
     assert _sha(repr((result.grid, lags, result.skipped))) == GOLDEN_GRID
+
+
+def _mixed_jobs(pair):
+    """One source against two targets under five configs.  The first four
+    have 12 lags and 5 shuffles, so their scans can share one shuffle draw:
+    they differ in method and window, and one shifts ``lag_min``.  The last
+    has 8 shuffles, so it draws on its own."""
+    source, target = pair
+    other = SpeedSeries(target.values[::-1])
+    base = PipelineConfig(boot_reps=4, shuffle_reps=5, lag_max=12, seed=2021)
+    nonlinear = base.with_overrides(window=20)
+    minmax = base.with_overrides(norm_method="minmax", window=20)
+    zscore = base.with_overrides(norm_method="zscore", window=10)
+    shifted = base.with_overrides(window=FULL_WINDOW, lag_min=3, lag_max=14)
+    more = nonlinear.with_overrides(shuffle_reps=8)
+    return [
+        (source, target, nonlinear),
+        (source, other, nonlinear),
+        (source, target, minmax),
+        (source, other, zscore),
+        (source, target, shifted),
+        (source, target, more),
+        (source, other, more),
+    ]
+
+
+# sha256 of repr((lags, best_ete) per job) of one estimate_delays call on the
+# mixed jobs above, pinned before their scans shared a draw
+GOLDEN_MIXED = "deaa781254e523ecc6c65d5172b34929bd65530809bf9fb267e68af4f7686472"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_mixed_jobs_match_golden_digest(noisy_pair, workers):
+    outcomes = estimate_delays(_mixed_jobs(noisy_pair), workers=workers)
+    got = tuple((d.lags, d.best_ete) for _, d in outcomes)
+    assert _sha(repr(got)) == GOLDEN_MIXED

@@ -93,6 +93,12 @@ class TestDecompose:
         with pytest.raises(InvalidArgumentError):
             decompose([1.0, 2.0], 0)
 
+    @pytest.mark.parametrize("m", [2.5, True])
+    def test_rejects_order_that_is_no_integer(self, m):
+        # 2.5 used to fail inside numpy; True ran as order 1
+        with pytest.raises(InvalidArgumentError, match="integer"):
+            decompose([1.0, 2.0, 3.0], m)
+
     @given(series=finite_series, m=st.integers(min_value=1, max_value=6))
     @settings(max_examples=150, deadline=None)
     def test_reconstruction_is_bit_exact(self, series, m):
@@ -301,6 +307,13 @@ class TestEncode:
     def test_rejects_empty(self):
         with pytest.raises(InvalidArgumentError):
             encode([], 3, (0.05, 0.95))
+
+    def test_rejects_nan(self):
+        # NaN bounds used to collapse every bin under a low-variance warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match="NaN"):
+                encode([float("nan"), 1.0, 2.0, 3.0], 3, (0.05, 0.95))
 
 
 class TestEncodeFixed:
