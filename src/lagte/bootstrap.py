@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import InvalidArgumentError, SpeedSeries
+from .core import InvalidArgumentError, SpeedSeries, _is_int
 
 __all__ = ["MarkovModel", "fit_markov", "sample_bootstrap_series"]
 
@@ -107,8 +107,10 @@ def fit_markov(residuals: Sequence[float], n_states: int) -> MarkovModel:
     MarkovModel
     """
     values = _residual_values(residuals)
-    if n_states < 1:
-        raise InvalidArgumentError(f"n_states must be >= 1: got {n_states}")
+    if not _is_int(n_states) or n_states < 1:
+        raise InvalidArgumentError(
+            f"n_states must be an integer >= 1: got {n_states!r}"
+        )
     distinct = np.unique(values).size
     if n_states > distinct:
         warnings.warn(

@@ -204,21 +204,28 @@ def cmd_simulate(inv: CliInvocation) -> int:
     return EXIT_OK
 
 
-def _load_pair(args: argparse.Namespace):
+def _load_series(args: argparse.Namespace) -> dict:
+    """The roads of ``args.csv``; prints a ``gaps:`` line per road whose
+    gaps were interpolated."""
     gap_report: dict = {}
     series = load_speed_csv(args.csv, args.max_gap, gap_report)
+    for road, gaps in sorted(gap_report.items()):
+        filled = sum(n for _, n in gaps)
+        print(f"gaps: road {road} had {filled} samples interpolated")
+    return series
+
+
+def _load_pair(args: argparse.Namespace):
+    series = _load_series(args)
     for road in (args.source, args.target):
         if road not in series:
             raise LagTEError(f"road {road!r} not present in {args.csv}")
-    return series[args.source], series[args.target], gap_report
+    return series[args.source], series[args.target]
 
 
 def cmd_estimate(inv: CliInvocation) -> int:
     args = inv.args
-    source, target, gap_report = _load_pair(args)
-    for road, gaps in sorted(gap_report.items()):
-        filled = sum(n for _, n in gaps)
-        print(f"gaps: road {road} had {filled} samples interpolated")
+    source, target = _load_pair(args)
     sample = estimate_delay(source, target, inv.config, workers=inv.threads)
     _print_sample(sample)
     if inv.verbose:
@@ -242,7 +249,7 @@ def cmd_estimate(inv: CliInvocation) -> int:
 
 def cmd_grid_search(inv: CliInvocation) -> int:
     args = inv.args
-    source, target, _ = _load_pair(args)
+    source, target = _load_pair(args)
     result = grid_search(
         source,
         target,
@@ -318,11 +325,7 @@ def cmd_batch_sim(inv: CliInvocation) -> int:
 
 def cmd_path_analyze(inv: CliInvocation) -> int:
     args = inv.args
-    gap_report: dict = {}
-    series = load_speed_csv(args.csv, args.max_gap, gap_report)
-    for road, gaps in sorted(gap_report.items()):
-        filled = sum(n for _, n in gaps)
-        print(f"gaps: road {road} had {filled} samples interpolated")
+    series = _load_series(args)
     road, when, paths = load_path_spec(args.paths)
     network = RoadNetworkInput(series=series, incident=(road, when), paths=paths)
     reports = analyze_paths(

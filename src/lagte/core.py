@@ -351,7 +351,19 @@ class LagSample:
         """Counts of the bootstrap lags over [lag_min, lag_max].
 
         Returns a tuple of (lag, count) pairs covering the full range.
+        Raises ``InvalidArgumentError`` when a lag falls outside it.
         """
+        if not (_is_int(lag_min) and _is_int(lag_max) and lag_min <= lag_max):
+            raise InvalidArgumentError(
+                f"histogram range must be integers with lag_min <= lag_max: "
+                f"got [{lag_min!r}, {lag_max!r}]"
+            )
+        outside = [u for u in self.lags if not lag_min <= u <= lag_max]
+        if outside:
+            raise InvalidArgumentError(
+                f"lag {outside[0]} lies outside the histogram range "
+                f"[{lag_min}, {lag_max}]"
+            )
         counts = np.bincount(
             np.asarray(self.lags, dtype=int) - lag_min, minlength=lag_max - lag_min + 1
         )

@@ -28,21 +28,23 @@ count tensors into transfer entropies.  ``transfer_entropy`` and
 ``effective_transfer_entropy`` are the one-lag cases of the same scan.
 
 The source half of that array -- the source and its shuffled surrogates --
-does not depend on the target.  ``best_lags`` fills it once and counts
-it against any number of targets, each of which gets exactly what
-``best_lag`` would give it from the same ``rng`` state; ``best_lag`` is
-its one-target case.  The shuffle draw does not depend on the source
-either, only on the lag count, the surrogate count and the length:
-``best_lags_shared`` draws it once as permuted indices for several
-sources (say, one series coded under several configs), and counts of one
-shape share one TE pass.  ``best_lags`` is its one-source case, and
-shuffles its source in place without an index array.
+does not depend on the target, so a source is counted against any number
+of targets from one fill.  The shuffle draw does not depend on the source
+either, only on the length, the lag count and the surrogate count:
+sources of one such shape (say, one series coded under several configs)
+share one draw of permuted indices, and counts of one shape share one TE
+pass.  ``best_lags_shared`` is the one front door for lag scans: it
+validates each item, groups the items into draws by shape, and gives
+every target exactly what ``best_lag`` would give it from the same
+``rng`` state.  ``best_lag`` is its one-item, one-target case; a single
+source shuffles its values in place without an index array.  Every scan
+is validated by ``_scan_item`` and run by ``_scan_draw``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -56,7 +58,6 @@ __all__ = [
     "transfer_entropy",
     "effective_transfer_entropy",
     "best_lag",
-    "best_lags",
     "best_lags_shared",
 ]
 
@@ -157,33 +158,39 @@ def _as_codes(series: SymbolsLike, name: str) -> np.ndarray:
     return codes.astype(np.int64)
 
 
-def _check_lag(u_max: int, length: int) -> None:
-    if not _is_int(u_max):
-        raise InvalidArgumentError(f"lag must be an integer: got {u_max!r}")
-    if u_max < 1:
-        raise InvalidArgumentError(f"lag must be >= 1: got {u_max}")
-    if u_max > length - 2:
-        raise InvalidArgumentError(
-            f"lag {u_max} needs series longer than {u_max + 1}: got length {length}"
-        )
+def _scan_item(
+    source: SymbolsLike,
+    targets: Sequence[SymbolsLike],
+    lag_min: int,
+    lag_max: int,
+) -> tuple:
+    """The validated ``(src, tgts, lags)`` scan of a source against its
+    targets over lags ``lag_min..lag_max``, as ``_scan_draw`` takes it.
 
-
-def _check_lengths(src: np.ndarray, tgt: np.ndarray) -> None:
-    if src.size != tgt.size:
-        raise InvalidArgumentError(
-            f"source and target lengths differ: {src.size} != {tgt.size}"
-        )
-
-
-def _symbol_pair(
-    source: SymbolsLike, target: SymbolsLike, u_max: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Dense codes of a same-length source/target pair valid up to lag ``u_max``."""
+    Every public scan goes through here.  ``lag_min`` is trusted to lie in
+    ``1..lag_max``: a ``PipelineConfig`` guarantees it, and the one-lag
+    scans pass ``lag_min == lag_max``.
+    """
+    if len(targets) == 0:
+        raise InvalidArgumentError("need at least one target")
     src = _as_codes(source, "source")
-    tgt = _as_codes(target, "target")
-    _check_lengths(src, tgt)
-    _check_lag(u_max, tgt.size)
-    return src, tgt
+    tgts = []
+    for target in targets:
+        tgts.append(_as_codes(target, "target"))
+        if src.size != tgts[-1].size:
+            raise InvalidArgumentError(
+                f"source and target lengths differ: {src.size} != {tgts[-1].size}"
+            )
+    if not _is_int(lag_max):
+        raise InvalidArgumentError(f"lag must be an integer: got {lag_max!r}")
+    if lag_max < 1:
+        raise InvalidArgumentError(f"lag must be >= 1: got {lag_max}")
+    if lag_max > src.size - 2:
+        raise InvalidArgumentError(
+            f"lag {lag_max} needs series longer than {lag_max + 1}: "
+            f"got length {src.size}"
+        )
+    return src, tgts, np.arange(lag_min, lag_max + 1)
 
 
 def _axis_sum(counts: np.ndarray, axis: int) -> np.ndarray:
@@ -341,13 +348,6 @@ def _scan_draw(scans: Sequence[tuple], shuffles: int, rng) -> list:
     return out
 
 
-def _scan_lags(
-    src: np.ndarray, tgt: np.ndarray, lags: np.ndarray, shuffles: int, rng
-) -> np.ndarray:
-    """The one-scan, one-target case of ``_scan_draw``."""
-    return _scan_draw([(src, [tgt], lags)], shuffles, rng)[0][0]
-
-
 def transfer_entropy(source: SymbolsLike, target: SymbolsLike, u: int) -> float:
     """Lag-``u`` transfer entropy from ``source`` to ``target`` in bits.
 
@@ -369,8 +369,8 @@ def transfer_entropy(source: SymbolsLike, target: SymbolsLike, u: int) -> float:
     float
         Nonnegative transfer entropy in bits.
     """
-    src, tgt = _symbol_pair(source, target, u)
-    return float(_scan_lags(src, tgt, np.array([u]), 0, None)[0, 0])
+    ((scan,),) = _scan_draw([_scan_item(source, [target], u, u)], 0, None)
+    return float(scan[0, 0])
 
 
 def effective_transfer_entropy(
@@ -410,8 +410,7 @@ def effective_transfer_entropy(
         raise InvalidArgumentError(
             f"an explicit numpy Generator rng is required: got {rng!r}"
         )
-    src, tgt = _symbol_pair(source, target, u)
-    scan = _scan_lags(src, tgt, np.array([u]), shuffles, rng)
+    ((scan,),) = _scan_draw([_scan_item(source, [target], u, u)], shuffles, rng)
     te, shuffle_mean = float(scan[0, 0]), float(scan[0, 1:].mean())
     return te - shuffle_mean, te, shuffle_mean
 
@@ -428,81 +427,44 @@ def _pick_lag(lags: np.ndarray, scan: np.ndarray) -> Tuple[int, LagTEProfile]:
     return profile.best(), profile
 
 
-def _scan_item(
-    source: SymbolsLike, targets: Sequence[SymbolsLike], config: PipelineConfig
-) -> tuple:
-    """The ``(src, tgts, lags)`` scan of one ``best_lags`` call, validated."""
-    if len(targets) == 0:
-        raise InvalidArgumentError("need at least one target")
-    src = _as_codes(source, "source")
-    tgts = []
-    for target in targets:
-        tgts.append(_as_codes(target, "target"))
-        _check_lengths(src, tgts[-1])
-    _check_lag(config.lag_max, src.size)
-    return src, tgts, np.arange(config.lag_min, config.lag_max + 1)
-
-
 def best_lags_shared(
     items: Sequence[Tuple[SymbolsLike, Sequence[SymbolsLike], PipelineConfig]],
     rng: np.random.Generator,
 ) -> list:
-    """``best_lags`` of several ``(source, targets, config)`` items from one
-    shuffle draw.
+    """Lag scans of several ``(source, targets, config)`` items.
 
-    The items' configs must have one lag count and one ``shuffle_reps``,
-    and their sources one length: the surrogates' permutations are then
-    drawn once and shared by every item, even when the lag ranges start at
-    different lags.  Entry ``i`` equals ``best_lags(*items[i], rng)`` called
-    with ``rng`` in the state this call found it in, or the ``LagTEError``
-    that call would raise, and ``rng`` advances as one such call advances
-    it.  An item that fails its checks fails alone.
+    Returns, per item, a list with ``best_lag(source, target, config,
+    rng)`` of each of its targets, called with ``rng`` in the state this
+    call found it in, or the ``LagTEError`` the item's checks raise.  An
+    item that fails its checks fails alone.
+
+    Items whose sources have one length and whose configs have one lag
+    count and one ``shuffle_reps`` share one shuffle draw, even when their
+    lag ranges start at different lags: the permutations are drawn once for
+    all of them, and each source's surrogates are shared among its
+    targets.  Each other shape draws its own, with ``rng`` restored to the
+    state this call found it in, and ``rng`` is left where the last draw
+    leaves it; with one shape, it advances as one ``best_lag`` call does.
     """
-    scans, shapes = [], set()
+    out, draws = [], {}  # draws: (length, lag count, shuffles) -> item indices
     for source, targets, config in items:
         try:
-            scans.append(_scan_item(source, targets, config))
+            scan = _scan_item(source, targets, config.lag_min, config.lag_max)
         except LagTEError as exc:
-            scans.append(exc)
+            out.append(exc)
             continue
-        shapes.add((scans[-1][0].size, scans[-1][2].size, config.shuffle_reps))
-    valid = [scan for scan in scans if not isinstance(scan, LagTEError)]
-    if len(shapes) > 1:
-        raise InvalidArgumentError(
-            "items of one draw need equal source lengths, lag counts and "
-            f"shuffle counts: got (length, lags, shuffles) in {sorted(shapes)}"
-        )
-    if not valid:
-        return scans
-    results = iter(_scan_draw(valid, shapes.pop()[2], rng))
-    return [
-        scan
-        if isinstance(scan, LagTEError)
-        else [_pick_lag(scan[2], te) for te in next(results)]
-        for scan in scans
-    ]
-
-
-def best_lags(
-    source: SymbolsLike,
-    targets: Sequence[SymbolsLike],
-    config: PipelineConfig,
-    rng: np.random.Generator,
-) -> List[Tuple[int, LagTEProfile]]:
-    """``best_lag`` of one source against each of ``targets``; the
-    one-item case of ``best_lags_shared``.
-
-    The source's shuffled surrogates are drawn once and shared: entry
-    ``k`` equals ``best_lag(source, targets[k], config, rng)`` called with
-    ``rng`` in the state this call found it in, and ``rng`` advances as
-    one ``best_lag`` call advances it.  ``estimate_delays`` goes further:
-    configs of one group with equal lag and shuffle counts share each
-    replicate's draw through ``best_lags_shared``.
-    """
-    (picks,) = best_lags_shared([(source, targets, config)], rng)
-    if isinstance(picks, LagTEError):
-        raise picks
-    return picks
+        shape = (scan[0].size, scan[2].size, config.shuffle_reps)
+        draws.setdefault(shape, []).append(len(out))
+        out.append(scan)
+    state = rng.bit_generator.state if len(draws) > 1 else None
+    for (*_, shuffles), members in draws.items():
+        if state is not None:
+            rng.bit_generator.state = state
+        scans = [out[i] for i in members]
+        tes = _scan_draw(scans, shuffles, rng)
+        for i, scan, per_target in zip(members, scans, tes):
+            out[i] = [_pick_lag(scan[2], te) for te in per_target]
+    return out
 
 
 def best_lag(
@@ -514,11 +476,15 @@ def best_lag(
     """Scan lags ``config.lag_min..config.lag_max`` and pick the ETE argmax.
 
     Each lag draws its own fresh batch of ``config.shuffle_reps`` source
-    permutations from ``rng``.  Ties resolve to the smallest lag.
+    permutations from ``rng``.  Ties resolve to the smallest lag.  This is
+    the one-item, one-target case of ``best_lags_shared``.
 
     Returns
     -------
     (u_hat, profile) : tuple
         The winning lag and the full per-lag profile behind the choice.
     """
-    return best_lags(source, [target], config, rng)[0]
+    (picks,) = best_lags_shared([(source, [target], config)], rng)
+    if isinstance(picks, LagTEError):
+        raise picks
+    return picks[0]

@@ -22,18 +22,15 @@ form a group.  A block of a group's replicates runs stage by stage: it
 walks the source and each target a job needs once per replicate; under
 each config it normalizes and encodes all of the source's walks as one
 2-D block, and each needed target's walks as one block; then it scans
-each replicate with that replicate's own shuffle stream.  Configs of the
-group with equal lag and shuffle counts share each replicate's shuffle
-draw (``best_lags_shared`` in ``entropy``): the stream is derived and the
-permutations drawn once for all of them, each config's source is
-shuffled by those permutations and its surrogates are shared among the
-config's targets, and counts of one shape share one TE pass.  Every
-config still gets the bytes of its own scan, and one that fails its scan
-fails alone.  ``workers`` counts the calling process: a call splits every
-group's replicates into up to ``workers`` interleaved shares, one block
-per group each; the caller runs share 0, and each other share is one task
-for the pool that serves the outermost public call.  Serial is the
-one-share case.
+each replicate in one ``best_lags_shared`` call, one item per config
+with its targets, on that replicate's own shuffle stream.  ``entropy``
+alone decides which configs share a shuffle draw (those of equal lag
+and shuffle counts); every config still gets the bytes of its own scan,
+and one that fails its scan fails alone.  ``workers`` counts the calling
+process: a call splits every group's replicates into up to ``workers``
+interleaved shares, one block per group each; the caller runs share 0,
+and each other share is one task for the pool that serves the outermost
+public call.  Serial is the one-share case.
 
 Grid search evaluates the pipeline over candidate observation lengths and
 normalization windows and picks the cell with the smallest variance ratio,
@@ -236,38 +233,31 @@ def _run_replicates(
         steps = [f for f in steps if f is not None]
         failures.append(min(steps, key=lambda f: f[:2], default=None))
 
-    # configs whose scans share each replicate's shuffle draw: one lag
-    # count and one surrogate count
-    draws = {}
-    for c, config in enumerate(configs):
-        shape = (config.lag_max - config.lag_min + 1, config.shuffle_reps)
-        draws.setdefault(shape, []).append(c)
     rows = [[] for _ in jobs]
     for b in indices:
-        for draw in draws.values():
-            live = {}  # config index -> its live jobs
-            for j, (c, _) in enumerate(jobs):
-                if c in draw and (failures[j] is None or failures[j][0] > b):
-                    live.setdefault(c, []).append(j)
-            if not live:
+        live = {}  # config index -> its live jobs
+        for j, (c, _) in enumerate(jobs):
+            if failures[j] is None or failures[j][0] > b:
+                live.setdefault(c, []).append(j)
+        if not live:
+            continue
+        items = [
+            (
+                coded[c, None][0][b],
+                [coded[c, jobs[j][1]][0][b] for j in js],
+                configs[c],
+            )
+            for c, js in live.items()
+        ]
+        rng_shuffle = derive_replicate_rng(seed, b, TAG_SHUFFLE)
+        for js, picks in zip(live.values(), best_lags_shared(items, rng_shuffle)):
+            if isinstance(picks, LagTEError):
+                for j in js:
+                    failures[j] = (b, _SCAN, picks)
                 continue
-            items = [
-                (
-                    coded[c, None][0][b],
-                    [coded[c, jobs[j][1]][0][b] for j in js],
-                    configs[c],
-                )
-                for c, js in live.items()
-            ]
-            rng_shuffle = derive_replicate_rng(seed, b, TAG_SHUFFLE)
-            for js, picks in zip(live.values(), best_lags_shared(items, rng_shuffle)):
-                if isinstance(picks, LagTEError):
-                    for j in js:
-                        failures[j] = (b, _SCAN, picks)
-                    continue
-                for j, (u_hat, profile) in zip(js, picks):
-                    restarts = src_walks[b][1] + tgt_walks[jobs[j][1]][0][b][1]
-                    rows[j].append((u_hat, max(profile.ete), restarts))
+            for j, (u_hat, profile) in zip(js, picks):
+                restarts = src_walks[b][1] + tgt_walks[jobs[j][1]][0][b][1]
+                rows[j].append((u_hat, max(profile.ete), restarts))
     return [
         (r, None if f is None else (f[0], f[2])) for r, f in zip(rows, failures)
     ]

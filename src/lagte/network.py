@@ -31,6 +31,7 @@ from .core import (
     ParseError,
     PipelineConfig,
     SpeedSeries,
+    _is_int,
 )
 # estimate_delay is no longer called here, but it stays a module attribute:
 # perfbench/tracing.py wraps it by this name
@@ -399,8 +400,10 @@ def analyze_paths(
     source road share its work and ``workers > 1`` starts one process
     pool.  Every hop's result equals its own ``estimate_delay``.
     """
-    if max_hops < 0:
-        raise InvalidArgumentError(f"max_hops must be >= 0: got {max_hops}")
+    if not _is_int(max_hops) or max_hops < 0:
+        raise InvalidArgumentError(
+            f"max_hops must be an integer >= 0: got {max_hops!r}"
+        )
     _, incident_time = network.incident
     windows: Dict[str, Union[SpeedSeries, LagTEError]] = {}
 

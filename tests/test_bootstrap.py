@@ -72,6 +72,15 @@ class TestFitMarkov:
         with pytest.raises(InvalidArgumentError):
             fit_markov([1.0, 2.0], 0)
 
+    @pytest.mark.parametrize("n_states", [2.5, True, "2"])
+    def test_rejects_non_integer_state_count(self, n_states):
+        with pytest.raises(InvalidArgumentError, match="n_states must be an integer"):
+            fit_markov([0.1, 0.1, 0.9, 0.9], n_states)
+
+    def test_numpy_integer_state_count(self):
+        model = fit_markov([0.1, 0.1, 0.9, 0.9], np.int64(2))
+        assert model.p_hat.tolist() == [[0.5, 0.5], [0.0, 1.0]]
+
     @given(residuals=residual_arrays, n=st.integers(min_value=1, max_value=8))
     @settings(max_examples=120, deadline=None)
     def test_stochasticity(self, residuals, n):

@@ -16,6 +16,15 @@ def _speed_csv(tmp_path, length=80):
     return str(path)
 
 
+def _gappy_csv(tmp_path):
+    """The speed CSV with road A's samples at 05:30 and 05:31 missing."""
+    path = tmp_path / "gappy.csv"
+    lines = road_csv_text({"A": 50.0, "B": 40.0}, 80).splitlines(keepends=True)
+    missing = ("2024-03-01T05:30:00,A,", "2024-03-01T05:31:00,A,")
+    path.write_text("".join(l for l in lines if not l.startswith(missing)))
+    return str(path)
+
+
 def _paths_json(tmp_path, time="2024-03-01T05:30:00"):
     path = tmp_path / "paths.json"
     path.write_text(
@@ -134,6 +143,26 @@ class TestGridSearchCommand:
         out = capsys.readouterr().out
         assert out.count("score=") == 4
         assert "best: length=" in out
+
+
+class TestGapReport:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["estimate", "--source", "A", "--target", "B"],
+            ["grid-search", "--source", "A", "--target", "B",
+             "--lengths", "60", "--windows", "10"],
+            ["path-analyze", "--before", "20", "--after", "40"],
+        ],
+    )
+    def test_every_csv_command_prints_gaps(self, tmp_path, capsys, command):
+        args = command + ["--csv", _gappy_csv(tmp_path)] + FAST
+        if command[0] == "path-analyze":
+            args += ["--paths", _paths_json(tmp_path)]
+        assert main(args) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "gaps: road A had 2 samples interpolated\n" in out
+        assert "gaps: road B" not in out
 
 
 class TestBatchSimCommand:

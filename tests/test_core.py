@@ -173,5 +173,16 @@ class TestLagSample:
         s = LagSample.from_lags([2, 2, 4])
         assert s.histogram(1, 5) == ((1, 0), (2, 2), (3, 0), (4, 1), (5, 0))
 
+    @pytest.mark.parametrize("lag_min, lag_max, lag", [(2, 3, 1), (1, 2, 3)])
+    def test_histogram_rejects_lags_outside_range(self, lag_min, lag_max, lag):
+        s = LagSample.from_lags([1, 2, 3])
+        with pytest.raises(InvalidArgumentError, match=f"lag {lag} lies outside"):
+            s.histogram(lag_min, lag_max)
+
+    @pytest.mark.parametrize("lag_min, lag_max", [(3, 1), (1.5, 3), (True, 3)])
+    def test_histogram_rejects_bad_range(self, lag_min, lag_max):
+        with pytest.raises(InvalidArgumentError, match="histogram range"):
+            LagSample.from_lags([1, 2, 3]).histogram(lag_min, lag_max)
+
     def test_n_reps(self):
         assert LagSample.from_lags([1, 2, 3]).n_reps == 3

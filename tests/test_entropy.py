@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from lagte import (
     InvalidArgumentError,
+    LagTEError,
     PipelineConfig,
     best_lag,
     effective_transfer_entropy,
@@ -19,9 +20,7 @@ from lagte import (
 from lagte.entropy import (
     _as_codes,
     _scan_draw,
-    _scan_lags,
     _te_from_counts,
-    best_lags,
     best_lags_shared,
 )
 from conftest import fast_config
@@ -247,7 +246,7 @@ class TestScanLags:
         lags = np.arange(lag_min, lag_max + 1)
         rng_fused = np.random.default_rng(seed)
         rng_loop = np.random.default_rng(seed)
-        got = _scan_lags(src, tgt, lags, shuffles, rng_fused)
+        ((got,),) = _scan_draw([(src, [tgt], lags)], shuffles, rng_fused)
         want = scan_reference(src, tgt, lags, shuffles, rng_loop)
         assert got.tobytes() == want.tobytes()
         # both consumed the same stream
@@ -277,7 +276,7 @@ class TestBestLags:
             lag_min=lag_min, lag_max=lag_max, shuffle_reps=shuffles
         )
         rng_shared = np.random.default_rng(seed)
-        picks = best_lags(source, targets, config, rng_shared)
+        (picks,) = best_lags_shared([(source, targets, config)], rng_shared)
         assert len(picks) == n_targets
         for target, (got_lag, got) in zip(targets, picks):
             rng_own = np.random.default_rng(seed)
@@ -313,7 +312,8 @@ class TestBestLags:
             relabeled = dict(series)
             relabeled[side] = np.array([relabel[s - 1] for s in series[side]])
             rng = np.random.default_rng(seed)
-            return best_lags(relabeled["source"], [relabeled["target"]], config, rng)[0]
+            item = (relabeled["source"], [relabeled["target"]], config)
+            return best_lags_shared([item], rng)[0][0]
 
         want_lag, want = scan(alphabet)
         # an order-preserving relabeling gives the same codes, hence the same bytes
@@ -330,15 +330,21 @@ class TestBestLags:
         source = np.ones(20, dtype=int)
         config = fast_config(lag_max=5)
         rng = np.random.default_rng(0)
-        with pytest.raises(InvalidArgumentError, match="at least one"):
-            best_lags(source, [], config, rng)
-        with pytest.raises(InvalidArgumentError, match="lengths differ"):
-            best_lags(source, [source, np.ones(19, dtype=int)], config, rng)
+        for targets, message in (
+            ([], "need at least one target"),
+            ([source, np.ones(19, dtype=int)], "lengths differ: 20 != 19"),
+        ):
+            (outcome,) = best_lags_shared([(source, targets, config)], rng)
+            assert isinstance(outcome, InvalidArgumentError)
+            assert message in str(outcome)
+        # best_lag raises what its one-item call returns
+        with pytest.raises(InvalidArgumentError, match="lengths differ: 20 != 19"):
+            best_lag(source, np.ones(19, dtype=int), config, rng)
 
 
 def _shared_draw_items(data, length, n_items, shuffles):
-    """``best_lags`` items of one lag count: random alphabets of 1 to 4
-    symbols, 1 to 3 targets each, lag ranges starting anywhere."""
+    """``best_lags_shared`` items of one lag count: random alphabets of 1
+    to 4 symbols, 1 to 3 targets each, lag ranges starting anywhere."""
     n_lags = data.draw(st.integers(min_value=1, max_value=length - 2))
 
     def series():
@@ -360,6 +366,21 @@ def _shared_draw_items(data, length, n_items, shuffles):
         n_targets = data.draw(st.integers(min_value=1, max_value=3))
         items.append((series(), [series() for _ in range(n_targets)], config))
     return items
+
+
+def assert_same_outcome(got, want):
+    """Two ``best_lags_shared`` entries hold the same error, or the same
+    lags and profile bytes per target."""
+    if isinstance(want, LagTEError):
+        assert type(got) is type(want)
+        assert str(got) == str(want)
+        return
+    assert len(got) == len(want)
+    for (got_lag, got_p), (want_lag, want_p) in zip(got, want):
+        assert got_lag == want_lag
+        for field in ("lags", "te", "ete", "shuffle_mean"):
+            got_bytes = np.array(getattr(got_p, field)).tobytes()
+            assert got_bytes == np.array(getattr(want_p, field)).tobytes()
 
 
 class TestSharedDraw:
@@ -389,7 +410,7 @@ class TestSharedDraw:
         for (src, tgts, lags), per_target in zip(scans, got):
             for tgt, scan in zip(tgts, per_target):
                 rng_own = np.random.default_rng(seed)
-                want = _scan_lags(src, tgt, lags, shuffles, rng_own)
+                ((want,),) = _scan_draw([(src, [tgt], lags)], shuffles, rng_own)
                 assert scan.tobytes() == want.tobytes()
                 assert rng_shared.bit_generator.state == rng_own.bit_generator.state
 
@@ -412,37 +433,48 @@ class TestSharedDraw:
         assert len(got) == n_items
         for i, (item, outcome) in enumerate(zip(items, got)):
             rng_own = np.random.default_rng(seed)
-            if i in broken:
-                with pytest.raises(InvalidArgumentError) as exc:
-                    best_lags(*item, rng_own)
-                assert type(outcome) is type(exc.value)
-                assert str(outcome) == str(exc.value)
-                continue
-            want = best_lags(*item, rng_own)
-            assert len(outcome) == len(want)
-            for (got_lag, got_p), (want_lag, want_p) in zip(outcome, want):
-                assert got_lag == want_lag
-                for field in ("lags", "te", "ete", "shuffle_mean"):
-                    got_bytes = np.array(getattr(got_p, field)).tobytes()
-                    assert got_bytes == np.array(getattr(want_p, field)).tobytes()
-            assert rng_shared.bit_generator.state == rng_own.bit_generator.state
+            (want,) = best_lags_shared([item], rng_own)
+            assert isinstance(want, InvalidArgumentError) == (i in broken)
+            assert_same_outcome(outcome, want)
+            if i not in broken:
+                assert rng_shared.bit_generator.state == rng_own.bit_generator.state
 
-    def test_rejects_items_of_another_shape(self):
-        source = np.arange(20) % 3
-        config = fast_config(lag_max=5)
-        rng = np.random.default_rng(0)
-        for other in (
-            config.with_overrides(lag_max=6),
-            config.with_overrides(shuffle_reps=config.shuffle_reps + 1),
-        ):
-            with pytest.raises(InvalidArgumentError, match="one draw"):
-                best_lags_shared(
-                    [(source, [source], config), (source, [source], other)], rng
-                )
-        with pytest.raises(InvalidArgumentError, match="one draw"):
-            best_lags_shared(
-                [(source, [source], config), (source[1:], [source[1:]], config)], rng
-            )
+    @given(
+        data=st.data(),
+        n_items=st.integers(min_value=1, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_items_of_any_shape_equal_their_own_call(self, data, n_items, seed):
+        # each item draws its own length, lag count and shuffle count, so
+        # one call mixes several draws; some items fail their checks
+        items, broken = [], set()
+        for i in range(n_items):
+            length = data.draw(st.sampled_from([6, 9, 14]))
+            shuffles = data.draw(st.integers(min_value=1, max_value=3))
+            (item,) = _shared_draw_items(data, length, 1, shuffles)
+            if data.draw(st.booleans()):
+                item[1].append(item[1][-1][:-1])
+                broken.add(i)
+            items.append(item)
+        rng_shared = np.random.default_rng(seed)
+        got = best_lags_shared(items, rng_shared)
+        assert len(got) == n_items
+        last_draw = None  # the rng state after the last shape's own call
+        shapes = []
+        for i, (item, outcome) in enumerate(zip(items, got)):
+            rng_own = np.random.default_rng(seed)
+            (want,) = best_lags_shared([item], rng_own)
+            assert_same_outcome(outcome, want)
+            if i in broken:
+                continue
+            source, _, config = item
+            shape = (len(source), config.lag_max - config.lag_min, config.shuffle_reps)
+            if shape not in shapes:
+                shapes.append(shape)
+                last_draw = rng_own.bit_generator.state
+        if shapes:
+            assert rng_shared.bit_generator.state == last_draw
 
 
 class TestArgumentChecks:

@@ -18,7 +18,7 @@ from lagte import (
 )
 from lagte.core import FULL_WINDOW, TAG_SHUFFLE, TAG_SOURCE_BOOT, TAG_TARGET_BOOT
 from lagte import estimator
-from lagte.entropy import best_lags
+from lagte.entropy import best_lags_shared
 from lagte.estimator import estimate_delays
 from conftest import fast_config
 
@@ -257,14 +257,12 @@ def replicates_reference(source, targets, configs, jobs, indices):
                     coded[j] = tgt
             if not coded:
                 continue
-            try:
-                rng = estimator.derive_replicate_rng(config.seed, b, TAG_SHUFFLE)
-                picks = best_lags(
-                    src[0], [sym for sym, _ in coded.values()], config, rng
-                )
-            except LagTEError as exc:
+            rng = estimator.derive_replicate_rng(config.seed, b, TAG_SHUFFLE)
+            item = (src[0], [sym for sym, _ in coded.values()], config)
+            (picks,) = best_lags_shared([item], rng)
+            if isinstance(picks, LagTEError):
                 for j in coded:
-                    failed[j] = (b, exc)
+                    failed[j] = (b, picks)
                 continue
             for (j, (_, restarts)), (u_hat, profile) in zip(coded.items(), picks):
                 rows[j].append((u_hat, max(profile.ete), src[1] + restarts))
@@ -352,8 +350,9 @@ class TestStageMajorBlock:
 
 
 class TestSharedShuffleDraw:
-    """Configs of one group with equal lag and shuffle counts share each
-    replicate's shuffle draw, and still fail one by one."""
+    """The configs of a group derive one shuffle stream per replicate;
+    those with equal lag and shuffle counts share its draw, and they still
+    fail one by one."""
 
     @staticmethod
     def _count_shuffle_streams(monkeypatch):
@@ -386,7 +385,8 @@ class TestSharedShuffleDraw:
         )
         jobs = [(*sim_pair, c) for c in configs]
         got = estimate_delays(jobs, workers=1)
-        assert tags.count(TAG_SHUFFLE) == 3 * 4
+        # one stream per replicate; the three shapes restore it per draw
+        assert tags.count(TAG_SHUFFLE) == 4
         for job, outcome in zip(jobs, got):
             assert outcome == estimate_delay(*job, return_details=True)
 

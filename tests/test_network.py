@@ -556,6 +556,12 @@ class TestAnalyzePaths:
         )
         assert len(reports[0].hops) == 1
 
+    @pytest.mark.parametrize("max_hops", [2.5, True, -1])
+    def test_rejects_bad_max_hops(self, max_hops):
+        net = _chain_network(with_constant=True)
+        with pytest.raises(InvalidArgumentError, match="max_hops must be an integer"):
+            analyze_paths(net, fast_config(), max_hops=max_hops, **FAST_KW)
+
     def test_insufficient_coverage_recorded_not_fatal(self):
         net = _chain_network(length=50)  # coverage ends 05:49, window needs 06:09
         reports = analyze_paths(
