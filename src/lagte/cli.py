@@ -30,6 +30,7 @@ from .core import (
 from .estimator import estimate_delay, grid_search
 from .network import (
     RoadNetworkInput,
+    _check_max_gap,
     analyze_paths,
     config_to_dict,
     emit_report,
@@ -461,6 +462,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = _resolve_config(args)
         threads = _resolve_threads(args)
+        if hasattr(args, "max_gap"):
+            _check_max_gap(args.max_gap, "--max-gap")
     except (UsageError, InvalidArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -20,31 +20,42 @@ structure while preserving its marginal distribution, so the average
 transfer entropy over shuffled sources estimates the bias floor, and the
 effective transfer entropy is the raw value minus that floor.
 
-A lag scan is one fused computation.  The source and all its surrogates at
-every candidate lag become rows of a single ``(lags, shuffles + 1, L)``
-integer code array, each row offset into its own block of count bins, so
-one ``bincount`` histograms every triple and one vectorized pass turns the
-count tensors into transfer entropies.  ``transfer_entropy`` and
-``effective_transfer_entropy`` are the one-lag cases of the same scan.
+A lag scan is one fused computation.  The source and all its surrogates
+at every candidate lag are rows of one ``(lags, shuffles + 1, L)`` array,
+counted against the target's aligned ``(i_t, i_{t-1})`` pairs, and one
+vectorized pass turns the count tensors into transfer entropies.
+``transfer_entropy`` and ``effective_transfer_entropy`` are the one-lag
+cases of the same scan.
 
-The source half of that array -- the source and its shuffled surrogates --
-does not depend on the target, so a source is counted against any number
-of targets from one fill.  The shuffle draw does not depend on the source
-either, only on the length, the lag count and the surrogate count:
-sources of one such shape (say, one series coded under several configs)
-share one draw of permuted indices, and counts of one shape share one TE
-pass.  ``best_lags_shared`` is the one front door for lag scans: it
-validates each item, groups the items into draws by shape, and gives
-every target exactly what ``best_lag`` would give it from the same
-``rng`` state.  ``best_lag`` is its one-item, one-target case; a single
-source shuffles its values in place without an index array.  Every scan
-is validated by ``_scan_item`` and run by ``_scan_draw``.
+The counts come one of two ways, chosen by the number of targets.  A scan
+with one target adds the target's pair codes to its integer code array,
+offsetting each row into its own block of count bins, and histograms
+every triple with one ``bincount`` (``_count_draw``).  The source half of
+that array -- the source and its shuffled surrogates -- does not depend
+on the target, so a scan with several targets builds it once for all of
+them (``_product_draw``): each row's source symbols become base
+``2 ** bits`` digits of one float, and one matrix product against every
+target's aligned-pair one-hot counts every target, a block of lags at a
+time.  Every sum in the product is an integer below ``2 ** 53``, so both
+ways give the same counts and the same bytes.  With one target there is
+no source work to share, and the product is slower than ``bincount``.
+
+The shuffle draw does not depend on the source either, only on the
+length, the lag count and the surrogate count: sources of one such shape
+(say, one series coded under several configs) share one draw of permuted
+indices, and counts of one shape share one TE pass.  ``best_lags_shared``
+is the one front door for lag scans: it validates each item, groups the
+items into draws by shape, and gives every target exactly what
+``best_lag`` would give it from the same ``rng`` state.  ``best_lag`` is
+its one-item, one-target case; a single source shuffles its values in
+place without an index array.  Every scan is validated by ``_scan_item``
+and run by ``_scan_draw``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -64,6 +75,14 @@ __all__ = [
 # Plug-in TE is nonnegative in exact arithmetic; accumulated rounding can
 # land a hair below zero and is clamped.  Anything lower is a logic error.
 _NEG_TOL = 1e-9
+
+# A float64 sum of integers is exact while every partial sum stays below
+# 2**53, so products pack at most this many bits of counts per float.
+_EXACT_BITS = 53
+
+# Count cells per block of lags in a scan with several targets; no array a
+# block makes is larger, unless one lag alone is.
+_COUNT_CELLS = 1 << 15
 
 SymbolsLike = Union[SymbolSeries, Sequence[int], np.ndarray]
 
@@ -158,6 +177,13 @@ def _as_codes(series: SymbolsLike, name: str) -> np.ndarray:
     return codes.astype(np.int64)
 
 
+def _check_rng(rng) -> None:
+    if not isinstance(rng, np.random.Generator):
+        raise InvalidArgumentError(
+            f"an explicit numpy Generator rng is required: got {rng!r}"
+        )
+
+
 def _scan_item(
     source: SymbolsLike,
     targets: Sequence[SymbolsLike],
@@ -215,7 +241,9 @@ def _te_from_counts(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
     count.  Every distribution in the conditional-mutual-information
     identity is a marginal of the same tensor, evaluated in one pass.
     """
-    c = np.asarray(counts, dtype=float)
+    # the sums below run in memory order, so a row's bytes depend on the
+    # layout of its cells: evaluate every tensor in C order
+    c = np.ascontiguousarray(counts, dtype=float)
     d_ab = _axis_sum(c, 3)  # joint of (i_t, i_{t-1})
     m_bc = _axis_sum(c, 1)  # joint of (i_{t-1}, j_{t-u})
     e_b = _axis_sum(m_bc, 2)  # marginal of i_{t-1}
@@ -233,20 +261,14 @@ def _te_from_counts(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
     return np.maximum(te, 0.0)
 
 
-def _lag_counts(
-    rows: np.ndarray,
-    tgt: np.ndarray,
-    lags: np.ndarray,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
+def _lag_counts(rows: np.ndarray, tgt: np.ndarray, lags: np.ndarray) -> np.ndarray:
     """Triple counts of every row of a source code array against one target.
 
     ``rows`` is a ``(lags, shuffles + 1, L)`` array of ``_shuffled_rows``.
     Returns shape ``(len(lags) * (shuffles + 1), n_t, n_t, n_s)``, in the
     row order of ``rows``.  The target's pair codes are added to ``rows``
-    into ``out`` (a new array when None, or ``rows`` itself), and one
-    ``bincount`` counts every row.  Each row owns a slab of
-    ``n_t * n_t + 1`` target pairs by ``n_s`` source symbols; the extra
+    in place, and one ``bincount`` counts every row.  Each row owns a slab
+    of ``n_t * n_t + 1`` target pairs by ``n_s`` source symbols; the extra
     pair collects the positions past the aligned range ``L - u`` and is
     dropped.
     """
@@ -264,7 +286,7 @@ def _lag_counts(
     aligned = sliding_window_view(pairs, length)[lags - 1]
     aligned *= n_s
     aligned += (np.arange(n_lags) * (reps * slab))[:, None]
-    codes = np.add(rows, aligned[:, None, :], out=out)
+    codes = np.add(rows, aligned[:, None, :], out=rows)
     codes += (np.arange(reps) * slab)[:, None]
     counts = np.bincount(codes.ravel(), minlength=n_lags * reps * slab)
     counts = counts.reshape(n_lags * reps, n_pairs + 1, n_s)[:, :n_pairs]
@@ -278,10 +300,12 @@ def _shuffled_rows(values: np.ndarray, n_lags: int, shuffles: int, rng) -> np.nd
     Within each lag, row 0 is ``values`` itself and the rest are
     permutations, drawn lag by lag and surrogate by surrogate from ``rng``
     (the same stream as one ``rng.permutation`` call each).  The draws
-    depend only on ``L`` and the row count, not on the values, so the rows
-    of ``arange(L)`` index the same permutations of any series.
+    depend only on ``L`` and the row count, not on the values or their
+    dtype, so the rows of ``arange(L)`` index the same permutations of any
+    series, and drawing a range of lags in consecutive blocks draws what
+    one call for the whole range draws.
     """
-    rows = np.empty((n_lags, shuffles + 1, values.size), dtype=np.intp)
+    rows = np.empty((n_lags, shuffles + 1, values.size), dtype=values.dtype)
     rows[:] = values
     if shuffles:
         surrogates = rows[:, 1:]
@@ -290,61 +314,166 @@ def _shuffled_rows(values: np.ndarray, n_lags: int, shuffles: int, rng) -> np.nd
 
 
 def _count_draw(scans: Sequence[tuple], shuffles: int, rng) -> list:
-    """Per scan, the triple counts of its source and surrogates against
-    each of its targets, all from one shuffle draw.
+    """Per one-target scan, the triple counts of its source and surrogates
+    against its target, all from one shuffle draw, by ``bincount``.
 
-    ``scans`` holds ``(src, tgts, lags)`` items with sources of one length
-    and lag ranges of one size.  One scan fills its code array with its
-    source and permutes it in place.  Several draw the permutations once
-    as an index array and gather each source through it.  Every target but
-    a scan's last counts a copy of its code array; the last adds its codes
-    in place, so a one-target scan allocates a single code array.
+    ``scans`` holds ``(src, [tgt], lags)`` items with sources of one length
+    and lag ranges of one size; the result lists each scan's counts.  One
+    scan fills its ``(lags, shuffles + 1, L)`` code array with its source
+    and permutes it in place.  Several draw the permutations once as an
+    index array and gather each source through it.  The target's codes
+    are added in place, so each scan allocates a single code array.
     """
     n_lags, length = scans[0][2].size, scans[0][0].size
     index = None
     if len(scans) > 1:
         index = _shuffled_rows(np.arange(length), n_lags, shuffles, rng)
     counts = []
-    for src, tgts, lags in scans:
+    for src, (tgt,), lags in scans:
         if index is None:
             rows = _shuffled_rows(src, n_lags, shuffles, rng)
         else:
             rows = np.take(src, index)
-        *others, last = tgts
-        counts.append([_lag_counts(rows, tgt, lags) for tgt in others])
-        counts[-1].append(_lag_counts(rows, last, lags, out=rows))
+        counts.append(_lag_counts(rows, tgt, lags))
     return counts
+
+
+def _product_plan(
+    src: np.ndarray, tgts: Sequence[np.ndarray], lags: np.ndarray, bits: int
+) -> tuple:
+    """What ``_product_draw`` needs of one scan, built once per draw.
+
+    Returns ``(weights, onehot, shapes)``.  Source symbol ``c`` is digit
+    ``c % per`` of group ``c // per``, with ``per = _EXACT_BITS // bits``
+    (at least 1); ``weights[g]`` is the source with each symbol of group
+    ``g`` replaced by ``2 ** (bits * digit)`` and every other symbol by 0.
+    ``onehot[u - 1]`` is the ``(L, K)`` indicator of the target pair
+    aligned with each source position at lag ``u``, zero past ``L - u``.
+    Its columns hold each target's ``n_t * n_t`` pairs in turn, the
+    targets ordered by ``n_t``; ``shapes`` lists ``(n_t, targets)`` per
+    alphabet size in that order.
+    """
+    length = src.size
+    per = max(1, _EXACT_BITS // bits)
+    power = np.ldexp(1.0, bits * (src % per))
+    weights = [
+        np.where(src // per == g, power, 0.0) for g in range(int(src.max()) // per + 1)
+    ]
+    n_ts = [int(tgt.max()) + 1 for tgt in tgts]
+    shapes = {}
+    for k in sorted(range(len(tgts)), key=n_ts.__getitem__):
+        shapes.setdefault(n_ts[k], []).append(k)
+    padded = np.zeros((length + int(lags[-1]) - 1, sum(n * n for n in n_ts)))
+    offset = 0
+    for n_t, ks in shapes.items():
+        for k in ks:
+            pairs = tgts[k][1:] * n_t + tgts[k][:-1]
+            padded[np.arange(length - 1), offset + pairs] = 1.0
+            offset += n_t * n_t
+    onehot = sliding_window_view(padded, length, axis=0).transpose(0, 2, 1)
+    return weights, onehot, list(shapes.items())
+
+
+def _product_draw(scans: Sequence[tuple], shuffles: int, rng) -> list:
+    """Transfer entropy of each scan's source and surrogates against each
+    of its targets, from one shuffle draw, counted by matrix products.
+
+    Takes and returns what ``_scan_draw`` does.  The lags go in blocks of
+    at most ``_COUNT_CELLS`` count cells (and at least one lag), and each
+    block draws its permutations in lag order, which is the stream one
+    draw of every lag gives.  A lone scan whose symbols fit one group
+    permutes its weights in place; otherwise a block draws one index
+    array and each scan gathers its weights through it.  A ``matmul`` of
+    one group's weight rows against a scan's aligned one-hot gives, per
+    row and target pair, the sum of ``count * 2 ** (bits * digit)`` over
+    the group's symbols.  ``bits = (L - 1).bit_length()`` and each count
+    is at most ``L - 1``, so the digits do not overlap, and every partial
+    sum is an integer below ``2 ** 53``, so the products are exact in any
+    order of summation.  Per symbol, one shift and one mask decode the
+    count ``bincount`` would give.  Each block of a scan then gets one TE
+    pass per target alphabet size.
+    """
+    n_lags, length = scans[0][2].size, scans[0][0].size
+    reps = shuffles + 1
+    bits = (length - 1).bit_length()
+    per = max(1, _EXACT_BITS // bits)
+    plans = [_product_plan(src, tgts, lags, bits) for src, tgts, lags in scans]
+    n_syms = [int(src.max()) + 1 for src, *_ in scans]
+    cells = sum(n_s * onehot.shape[2] for (_, onehot, _), n_s in zip(plans, n_syms))
+    step = max(1, _COUNT_CELLS // (reps * max(length, cells)))
+    in_place = len(scans) == 1 and len(plans[0][0]) == 1
+    out = [[np.empty((n_lags, reps)) for _ in tgts] for _, tgts, _ in scans]
+    for lo in range(0, n_lags, step):
+        hi = min(lo + step, n_lags)
+        if in_place:
+            rows = _shuffled_rows(plans[0][0][0], hi - lo, shuffles, rng)
+        else:
+            index = _shuffled_rows(np.arange(length), hi - lo, shuffles, rng)
+        for (_, _, lags), (weights, onehot, shapes), n_s, scan_out in zip(
+            scans, plans, n_syms, out
+        ):
+            block = onehot[lags[lo] - 1 : lags[hi - 1]]
+            # one long strided pass per symbol writes the counts with the
+            # source symbol innermost, as _te_from_counts reads them
+            counts = np.empty((hi - lo, reps, block.shape[2], n_s))
+            for c in range(n_s):
+                if c % per == 0:
+                    weight = rows if in_place else np.take(weights[c // per], index)
+                    packed = np.matmul(weight, block).astype(np.int64)
+                digit = packed >> (bits * (c % per))
+                np.bitwise_and(digit, (1 << bits) - 1, out=counts[..., c])
+            offset = 0
+            for n_t, ks in shapes:
+                width = len(ks) * n_t * n_t
+                te = _te_from_counts(
+                    counts[:, :, offset : offset + width].reshape(-1, n_t, n_t, n_s),
+                    np.repeat((length - lags[lo:hi]).astype(float), reps * len(ks)),
+                )
+                te = te.reshape(hi - lo, reps, len(ks))
+                for j, k in enumerate(ks):
+                    scan_out[k][lo:hi] = te[:, :, j]
+                offset += width
+    return out
 
 
 def _scan_draw(scans: Sequence[tuple], shuffles: int, rng) -> list:
     """Transfer entropy of each scan's source and surrogates against each
     of its targets, from one shuffle draw.
 
-    Returns, per scan of ``_count_draw``, one ``(len(lags), shuffles + 1)``
-    array per target; column 0 is the source itself, the rest are its
-    surrogates.  Each scan gets the bytes it would get alone from ``rng``
-    in the state this call found it in.  Counting is a separate call so
-    that the code arrays are freed before the TE temporaries are
-    allocated, which keeps the peak memory down.  Counts of one shape go
-    through one TE pass, which evaluates each row on its own.
+    ``scans`` holds validated ``(src, tgts, lags)`` items of ``_scan_item``
+    with sources of one length and lag ranges of one size.  Returns, per
+    scan, one ``(len(lags), shuffles + 1)`` array per target; column 0 is
+    the source itself, the rest are its surrogates.  Each scan gets the
+    bytes it would get alone from ``rng`` in the state this call found it
+    in, and ``rng`` advances as that one scan would advance it.
+
+    The target count picks the counting path.  When every scan has one
+    target, ``_count_draw`` counts each by one ``bincount`` of its code
+    array, and counts of one shape go through one TE pass.  Counting is a
+    separate call so that the code arrays are freed before the TE
+    temporaries are allocated, which keeps the peak memory down.  When a
+    scan has several targets, its source side is shared among them, and
+    ``_product_draw`` counts every target at once by matrix products, a
+    block of lags at a time.  Both paths give the same bytes.
     """
+    if any(len(tgts) > 1 for _, tgts, _ in scans):
+        return _product_draw(scans, shuffles, rng)
     counts = _count_draw(scans, shuffles, rng)
     n_lags, length = scans[0][2].size, scans[0][0].size
     totals = [
         np.repeat((length - lags).astype(float), shuffles + 1) for *_, lags in scans
     ]
-    by_shape = {}  # count shape -> [(scan index, target index)]
-    for i, per_target in enumerate(counts):
-        for k, c in enumerate(per_target):
-            by_shape.setdefault(c.shape, []).append((i, k))
-    out = [[None] * len(per_target) for per_target in counts]
+    by_shape = {}  # count shape -> scan indices
+    for i, c in enumerate(counts):
+        by_shape.setdefault(c.shape, []).append(i)
+    out = [None] * len(scans)
     for members in by_shape.values():
         te = _te_from_counts(
-            np.concatenate([counts[i][k] for i, k in members], dtype=float),
-            np.concatenate([totals[i] for i, _ in members]),
+            np.concatenate([counts[i] for i in members], dtype=float),
+            np.concatenate([totals[i] for i in members]),
         )
-        for (i, k), scan in zip(members, te.reshape(len(members), n_lags, -1)):
-            out[i][k] = scan
+        for i, scan in zip(members, te.reshape(len(members), n_lags, -1)):
+            out[i] = [scan]
     return out
 
 
@@ -406,10 +535,7 @@ def effective_transfer_entropy(
         raise InvalidArgumentError(
             f"shuffles must be an integer >= 1: got {shuffles!r}"
         )
-    if not isinstance(rng, np.random.Generator):
-        raise InvalidArgumentError(
-            f"an explicit numpy Generator rng is required: got {rng!r}"
-        )
+    _check_rng(rng)
     ((scan,),) = _scan_draw([_scan_item(source, [target], u, u)], shuffles, rng)
     te, shuffle_mean = float(scan[0, 0]), float(scan[0, 1:].mean())
     return te - shuffle_mean, te, shuffle_mean
@@ -445,7 +571,10 @@ def best_lags_shared(
     targets.  Each other shape draws its own, with ``rng`` restored to the
     state this call found it in, and ``rng`` is left where the last draw
     leaves it; with one shape, it advances as one ``best_lag`` call does.
+    An ``rng`` that is not a ``numpy.random.Generator`` fails the call
+    with ``InvalidArgumentError``.
     """
+    _check_rng(rng)
     out, draws = [], {}  # draws: (length, lag count, shuffles) -> item indices
     for source, targets, config in items:
         try:

@@ -17,6 +17,7 @@ Turns raw detector exports into delay estimates along congestion paths:
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 from datetime import datetime, timedelta
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
@@ -62,6 +63,8 @@ REPORT_VERSION = 1
 # Fraction of the uniform-lag variance above which a hop's bootstrap
 # dispersion is considered indistinguishable from no coupling at all.
 DISPERSION_FRACTION = 0.5
+
+_MINUTE = timedelta(minutes=1)
 
 
 @dataclass(frozen=True)
@@ -177,8 +180,14 @@ def load_speed_csv(
     data error.  Pass a dict as ``gap_report`` to receive, per road with
     gaps, the list of ``(first_missing_time, n_missing)`` spans filled.
 
+    Each distinct timestamp is parsed once.  A road whose samples are one
+    minute apart throughout becomes its series directly; any other road
+    is walked sample by sample to fill and check its gaps.
+
     Raises
     ------
+    InvalidArgumentError
+        ``max_gap_minutes`` that is not a finite real number >= 0.
     ParseError
         Malformed row (wrong column count, bad timestamp, bad speed, or a
         timestamp naive where the first data row's is tz-aware or the
@@ -187,9 +196,12 @@ def load_speed_csv(
         Duplicate ``(timestamp, road_id)`` pair, non-monotone or off-grid
         timestamps, over-long gap, or no data rows.
     """
-    rows: Dict[str, list] = {}
-    # raw timestamp -> (datetime, awareness); every road repeats each stamp
-    stamps: Dict[str, Tuple[datetime, str]] = {}
+    _check_max_gap(max_gap_minutes)
+    rows: Dict[str, list] = {}  # road -> [(minute, speed, line, datetime)]
+    # raw timestamp -> (datetime, minute); every road repeats each stamp.  A
+    # stamp's minute counts whole minutes from the first data row's stamp,
+    # None when it lies between them.
+    stamps: Dict[str, Tuple[datetime, Optional[int]]] = {}
     first = None  # the first data row's (datetime, awareness)
     reader = csv.reader(_utf8_lines(path))
     try:
@@ -206,23 +218,25 @@ def load_speed_csv(
             continue
         if len(row) != 3:
             raise ParseError(f"expected 3 fields, got {len(row)}", line=lineno)
-        raw_ts, road, raw_speed = (f.strip() for f in row)
+        raw_ts, road, raw_speed = row
+        raw_ts, road, raw_speed = raw_ts.strip(), road.strip(), raw_speed.strip()
         stamp = stamps.get(raw_ts)
         if stamp is None:
             try:
                 ts = datetime.fromisoformat(raw_ts)
             except ValueError:
                 raise ParseError(f"bad timestamp {raw_ts!r}", line=lineno)
-            stamp = stamps[raw_ts] = (ts, _awareness(ts))
-        ts, awareness = stamp
-        if first is None:
-            first = stamp
-        elif awareness != first[1]:
-            raise ParseError(
-                f"timestamp {raw_ts!r} is {awareness} but the first "
-                f"data row's {first[0].isoformat()!r} is {first[1]}",
-                line=lineno,
-            )
+            awareness = _awareness(ts)
+            if first is None:
+                first = (ts, awareness)
+            elif awareness != first[1]:
+                raise ParseError(
+                    f"timestamp {raw_ts!r} is {awareness} but the first "
+                    f"data row's {first[0].isoformat()!r} is {first[1]}",
+                    line=lineno,
+                )
+            minute, rest = divmod(ts - first[0], _MINUTE)
+            stamp = stamps[raw_ts] = (ts, None if rest else minute)
         if not road:
             raise ParseError("empty road_id", line=lineno)
         try:
@@ -231,49 +245,83 @@ def load_speed_csv(
             raise ParseError(f"bad speed {raw_speed!r}", line=lineno)
         if not math.isfinite(speed):
             raise ParseError(f"non-finite speed {raw_speed!r}", line=lineno)
-        rows.setdefault(road, []).append((ts, speed, lineno))
+        rows.setdefault(road, []).append((stamp[1], speed, lineno, stamp[0]))
 
     if not rows:
         raise DataError("no data rows")
 
     out: Dict[str, SpeedSeries] = {}
     for road, entries in rows.items():
-        grid = [entries[0][1]]
-        gaps = []
-        for (prev_ts, prev_v, _), (ts, v, lineno) in zip(entries, entries[1:]):
-            delta = (ts - prev_ts).total_seconds() / 60.0
-            if delta == 0.0:
-                raise DataError(
-                    f"duplicate row for road {road!r} at {ts.isoformat()} "
-                    f"(line {lineno})"
-                )
-            if delta < 0.0:
-                raise DataError(
-                    f"non-monotone timestamps for road {road!r} at "
-                    f"{ts.isoformat()} (line {lineno})"
-                )
-            if delta != int(delta):
-                raise DataError(
-                    f"road {road!r} sample at {ts.isoformat()} is off the "
-                    f"1-minute grid (line {lineno})"
-                )
-            step = int(delta)
-            if step > max_gap_minutes:
-                raise DataError(
-                    f"road {road!r} has a {step}-minute gap ending at "
-                    f"{ts.isoformat()}, above the {max_gap_minutes}-minute limit"
-                )
-            if step > 1:
-                filled = np.linspace(prev_v, v, step + 1)[1:-1]
-                grid.extend(float(x) for x in filled)
-                gaps.append((prev_ts + timedelta(minutes=1), step - 1))
-            grid.append(v)
+        minutes, speeds, lines, times = zip(*entries)
+        start = minutes[0]
+        if (
+            max_gap_minutes >= 1
+            and start is not None
+            and minutes == tuple(range(start, start + len(minutes)))
+        ):
+            grid, gaps = speeds, []  # one sample every minute
+        else:
+            grid, gaps = _fill_road(road, speeds, lines, times, max_gap_minutes)
         if gaps and gap_report is not None:
             gap_report[road] = gaps
         out[road] = SpeedSeries(
-            np.asarray(grid), period=1.0, label=road, start_time=entries[0][0]
+            np.asarray(grid), period=1.0, label=road, start_time=times[0]
         )
     return out
+
+
+def _check_max_gap(value, name: str = "max_gap_minutes") -> None:
+    """Reject a gap limit that is not a finite real number >= 0."""
+    if (
+        not isinstance(value, numbers.Real)
+        or isinstance(value, bool)
+        or not 0 <= value < math.inf
+    ):
+        raise InvalidArgumentError(
+            f"{name} must be a finite number >= 0: got {value!r}"
+        )
+
+
+def _fill_road(road, speeds, lines, times, max_gap_minutes) -> tuple:
+    """One road's samples on its 1-minute grid, interior gaps filled by
+    linear interpolation, and its ``(first_missing_time, n_missing)`` gaps.
+
+    Checks that the samples advance in whole minutes, with no gap above
+    ``max_gap_minutes``.
+    """
+    grid = [speeds[0]]
+    gaps = []
+    for prev_ts, prev_v, ts, v, lineno in zip(
+        times, speeds, times[1:], speeds[1:], lines[1:]
+    ):
+        delta = (ts - prev_ts).total_seconds() / 60.0
+        if delta == 0.0:
+            raise DataError(
+                f"duplicate row for road {road!r} at {ts.isoformat()} "
+                f"(line {lineno})"
+            )
+        if delta < 0.0:
+            raise DataError(
+                f"non-monotone timestamps for road {road!r} at "
+                f"{ts.isoformat()} (line {lineno})"
+            )
+        if delta != int(delta):
+            raise DataError(
+                f"road {road!r} sample at {ts.isoformat()} is off the "
+                f"1-minute grid (line {lineno})"
+            )
+        step = int(delta)
+        if step > max_gap_minutes:
+            raise DataError(
+                f"road {road!r} has a {step}-minute gap ending at "
+                f"{ts.isoformat()}, above the {max_gap_minutes}-minute limit"
+            )
+        if step > 1:
+            filled = np.linspace(prev_v, v, step + 1)[1:-1]
+            grid.extend(float(x) for x in filled)
+            gaps.append((prev_ts + timedelta(minutes=1), step - 1))
+        grid.append(v)
+    return grid, gaps
 
 
 def extract_incident_window(

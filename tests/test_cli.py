@@ -164,6 +164,15 @@ class TestGapReport:
         assert "gaps: road A had 2 samples interpolated\n" in out
         assert "gaps: road B" not in out
 
+    @pytest.mark.parametrize("limit", ["nan", "inf", "-1"])
+    def test_bad_gap_limit_is_usage_error(self, tmp_path, capsys, limit):
+        args = ["estimate", "--source", "A", "--target", "B",
+                "--csv", _gappy_csv(tmp_path), "--max-gap", limit] + FAST
+        assert main(args) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "--max-gap must be a finite number >= 0" in captured.err
+        assert "gaps:" not in captured.out
+
 
 class TestBatchSimCommand:
     def test_writes_table_with_provenance(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Entropy measures, lag-specific transfer entropy, and lag selection."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -17,6 +18,7 @@ from lagte import (
     shannon_entropy,
     transfer_entropy,
 )
+from lagte import entropy
 from lagte.entropy import (
     _as_codes,
     _scan_draw,
@@ -342,9 +344,10 @@ class TestBestLags:
             best_lag(source, np.ones(19, dtype=int), config, rng)
 
 
-def _shared_draw_items(data, length, n_items, shuffles):
+def _shared_draw_items(data, length, n_items, shuffles, max_targets=3):
     """``best_lags_shared`` items of one lag count: random alphabets of 1
-    to 4 symbols, 1 to 3 targets each, lag ranges starting anywhere."""
+    to 4 symbols, 1 to ``max_targets`` targets each, lag ranges starting
+    anywhere."""
     n_lags = data.draw(st.integers(min_value=1, max_value=length - 2))
 
     def series():
@@ -363,7 +366,7 @@ def _shared_draw_items(data, length, n_items, shuffles):
         config = PipelineConfig(
             lag_min=lag_min, lag_max=lag_min + n_lags - 1, shuffle_reps=shuffles
         )
-        n_targets = data.draw(st.integers(min_value=1, max_value=3))
+        n_targets = data.draw(st.integers(min_value=1, max_value=max_targets))
         items.append((series(), [series() for _ in range(n_targets)], config))
     return items
 
@@ -477,6 +480,80 @@ class TestSharedDraw:
             assert rng_shared.bit_generator.state == last_draw
 
 
+class TestProductCounts:
+    """A draw with a multi-target scan counts by matrix products, a block of
+    lags at a time, and gives every target the bytes of its own one-target
+    ``bincount`` scan."""
+
+    @given(
+        data=st.data(),
+        length=st.integers(min_value=4, max_value=40),
+        n_items=st.integers(min_value=1, max_value=3),
+        shuffles=st.integers(min_value=0, max_value=6),
+        cap=st.sampled_from([1, 40, 300, entropy._COUNT_CELLS]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_each_target_alone(self, data, length, n_items, shuffles, cap, seed):
+        items = _shared_draw_items(data, length, n_items, 1, max_targets=4)
+        first_targets = items[0][1]
+        if len(first_targets) == 1:
+            first_targets.append(first_targets[0][::-1])
+        scans = [
+            (
+                _as_codes(source, "source"),
+                [_as_codes(t, "target") for t in targets],
+                np.arange(config.lag_min, config.lag_max + 1),
+            )
+            for source, targets, config in items
+        ]
+
+        def no_bincount(*args):
+            raise AssertionError("a multi-target draw must not count by bincount")
+
+        rng_shared = np.random.default_rng(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            # a small cap splits the lags into several blocks
+            mp.setattr(entropy, "_COUNT_CELLS", cap)
+            mp.setattr(entropy, "_count_draw", no_bincount)
+            got = _scan_draw(scans, shuffles, rng_shared)
+        for (src, tgts, lags), per_target in zip(scans, got):
+            assert len(per_target) == len(tgts)
+            for tgt, scan in zip(tgts, per_target):
+                rng_own = np.random.default_rng(seed)
+                ((want,),) = _scan_draw([(src, [tgt], lags)], shuffles, rng_own)
+                assert scan.tobytes() == want.tobytes()
+                assert rng_shared.bit_generator.state == rng_own.bit_generator.state
+
+    def test_symbols_split_into_groups_on_long_series(self):
+        # 11-bit counts leave room for 4 symbols per float, so a 5-symbol
+        # source packs its digits into two groups
+        rng = np.random.default_rng(3)
+        length, lags, shuffles = 2049, np.arange(1, 4), 2
+        src = _as_codes(rng.integers(0, 5, length), "source")
+        tgts = [_as_codes(rng.integers(0, n, length), "target") for n in (3, 2, 3)]
+        assert (length - 1).bit_length() * 5 > entropy._EXACT_BITS
+        (got,) = _scan_draw([(src, tgts, lags)], shuffles, np.random.default_rng(8))
+        for tgt, scan in zip(tgts, got):
+            want = scan_reference(src, tgt, lags, shuffles, np.random.default_rng(8))
+            assert scan.tobytes() == want.tobytes()
+
+    def test_corridor_scan_holds_a_few_blocks(self):
+        # L=180, 30 lags, 50 shuffles, 6 targets: each (lags, 51, 180) array
+        # of the one-target path would take 2.2 MB on its own
+        rng = np.random.default_rng(0)
+        src = _as_codes(rng.integers(0, 3, 180), "source")
+        tgts = [_as_codes(rng.integers(0, 3, 180), "target") for _ in range(6)]
+        scans = [(src, tgts, np.arange(1, 31))]
+        tracemalloc.start()
+        try:
+            _scan_draw(scans, 50, np.random.default_rng(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * entropy._COUNT_CELLS * 8
+
+
 class TestArgumentChecks:
     """Bad arguments raise ``InvalidArgumentError``, not a raw numpy or
     Python error, and a bool is no integer."""
@@ -510,6 +587,14 @@ class TestArgumentChecks:
     def test_effective_transfer_entropy_rng(self, rng):
         with pytest.raises(InvalidArgumentError, match="Generator"):
             effective_transfer_entropy(self.SERIES, self.SERIES, 1, shuffles=2, rng=rng)
+
+    @pytest.mark.parametrize("rng", [None, 5, np.random.RandomState(0)])
+    def test_best_lag_rng(self, rng):
+        config = PipelineConfig(lag_max=5, shuffle_reps=2)
+        with pytest.raises(InvalidArgumentError, match="Generator"):
+            best_lag(self.SERIES, self.SERIES, config, rng)
+        with pytest.raises(InvalidArgumentError, match="Generator"):
+            best_lags_shared([(self.SERIES, [self.SERIES], config)], rng)
 
     def test_shannon_entropy_of_strings(self):
         with pytest.raises(InvalidArgumentError, match="numbers"):

@@ -4,7 +4,7 @@ import csv
 import io
 import json
 import warnings
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -185,6 +185,155 @@ class TestLoadSpeedCsv:
         series = load_speed_csv(_write(tmp_path, "i.csv", "\n".join(lines)))
         assert series["A"].values.tolist() == [1.0, 3.0]
         assert series["B"].values.tolist() == [2.0, 4.0]
+
+
+def speed_csv_reference(path, max_gap_minutes=10.0):
+    """Series and gap report of a well-formed speed CSV by a plain loop:
+    every row parsed on its own, and every road walked sample by sample,
+    with the loader's messages for a bad road."""
+    rows = {}
+    with open(path, encoding="utf-8", newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if lineno > 1 and row:
+                raw_ts, road, raw_speed = (f.strip() for f in row)
+                ts = datetime.fromisoformat(raw_ts)
+                rows.setdefault(road, []).append((ts, float(raw_speed), lineno))
+    series, gap_report = {}, {}
+    for road, entries in rows.items():
+        grid, gaps = [entries[0][1]], []
+        for (prev_ts, prev_v, _), (ts, v, lineno) in zip(entries, entries[1:]):
+            delta = (ts - prev_ts).total_seconds() / 60.0
+            where = f"{ts.isoformat()} (line {lineno})"
+            if delta == 0.0:
+                raise DataError(f"duplicate row for road {road!r} at {where}")
+            if delta < 0.0:
+                raise DataError(f"non-monotone timestamps for road {road!r} at {where}")
+            if delta != int(delta):
+                raise DataError(
+                    f"road {road!r} sample at {ts.isoformat()} is off the "
+                    f"1-minute grid (line {lineno})"
+                )
+            step = int(delta)
+            if step > max_gap_minutes:
+                raise DataError(
+                    f"road {road!r} has a {step}-minute gap ending at "
+                    f"{ts.isoformat()}, above the {max_gap_minutes}-minute limit"
+                )
+            if step > 1:
+                grid.extend(float(x) for x in np.linspace(prev_v, v, step + 1)[1:-1])
+                gaps.append((prev_ts + timedelta(minutes=1), step - 1))
+            grid.append(v)
+        if gaps:
+            gap_report[road] = gaps
+        series[road] = SpeedSeries(
+            np.asarray(grid), period=1.0, label=road, start_time=entries[0][0]
+        )
+    return series, gap_report
+
+
+def assert_loads_as_reference(path, max_gap_minutes=10.0):
+    """``load_speed_csv`` gives the reference's series and gap report, or
+    raises its error."""
+    try:
+        want, want_gaps = speed_csv_reference(path, max_gap_minutes)
+    except DataError as exc:
+        with pytest.raises(DataError) as err:
+            load_speed_csv(path, max_gap_minutes)
+        assert str(err.value) == str(exc)
+        return
+    gaps = {}
+    got = load_speed_csv(path, max_gap_minutes, gaps)
+    assert gaps == want_gaps
+    assert list(got) == list(want)
+    for road, s in got.items():
+        assert s.values.tobytes() == want[road].values.tobytes()
+        assert (s.label, s.start_time, s.period) == (road, want[road].start_time, 1.0)
+        assert s.start_time.utcoffset() == want[road].start_time.utcoffset()
+
+
+@st.composite
+def speed_csv_lines(draw):
+    """A speed CSV of 1 to 3 roads on one clock: mostly 1-minute steps,
+    some gaps, duplicates and reversals, stamps naive or written at
+    several UTC offsets, and roads off the first road's minute grid."""
+    zones = draw(
+        st.sampled_from([[None], [timedelta(0)], [timedelta(hours=5, minutes=30)],
+                         [timedelta(hours=-3), timedelta(hours=1)]])
+    )
+    t0 = datetime(2024, 3, 1, 5, 0)
+    queues = {}
+    for road in "ABC"[: draw(st.integers(1, 3))]:
+        t = t0 + timedelta(seconds=draw(st.sampled_from([0, 0, 30])))
+        steps = draw(
+            st.lists(st.sampled_from([1] * 8 + [2, 3, 12, 0, -1]), max_size=12)
+        )
+        queues[road] = []
+        for step in [0] + steps:
+            t += timedelta(minutes=step)
+            speed = draw(st.floats(0.0, 120.0, allow_nan=False))
+            stamp = _stamp(t, draw(st.sampled_from(zones)))
+            queues[road].append(f"{stamp},{road},{speed!r}")
+    # interleave the roads, each in its own order
+    lines = ["timestamp,road_id,speed_kmh"]
+    while any(queues.values()):
+        road = draw(st.sampled_from([r for r, q in queues.items() if q]))
+        lines.append(queues[road].pop(0))
+    return lines
+
+
+def _stamp(t, offset):
+    """``t`` (naive UTC) as an ISO stamp: naive, or written at ``offset``."""
+    if offset is None:
+        return t.isoformat()
+    return (t + offset).replace(tzinfo=timezone(offset)).isoformat()
+
+
+class TestLoaderFastPath:
+    """Roads sampled every minute load straight from their speeds; every
+    road gets the series, gap report and error of the sample-by-sample
+    loop."""
+
+    def test_clean_gappy_and_offset_roads(self, tmp_path):
+        # A is clean at +05:30, B misses two minutes in every seven, and C
+        # is clean, written at -03:00 for the same instants as A
+        plus, minus = timedelta(hours=5, minutes=30), timedelta(hours=-3)
+        lines = ["timestamp,road_id,speed_kmh"]
+        for m in range(30):
+            at = datetime(2024, 3, 1, 5, m)
+            lines.append(f"{_stamp(at, plus)},A,{50.0 + m}")
+            if m % 7 not in (3, 4):
+                lines.append(f"{_stamp(at, plus)},B,{60.0 - m}")
+            lines.append(f"{_stamp(at, minus)},C,{70.0 + m / 3}")
+        path = _write(tmp_path, "mixed.csv", "\n".join(lines))
+        assert_loads_as_reference(path)
+        gaps = {}
+        series = load_speed_csv(path, gap_report=gaps)
+        assert sorted(gaps) == ["B"]
+        assert [n for _, n in gaps["B"]] == [2, 2, 2, 2]
+        assert {len(s) for s in series.values()} == {30}
+        assert series["C"].start_time == series["A"].start_time
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(lines=speed_csv_lines(), max_gap=st.sampled_from([0, 0.5, 1, 2.5, 10.0]))
+    def test_equals_sample_by_sample_loop(self, tmp_path, lines, max_gap):
+        assert_loads_as_reference(_write(tmp_path, "r.csv", "\n".join(lines)), max_gap)
+
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), -1, -0.5, "10", None, True, np.nan]
+    )
+    def test_rejects_bad_gap_limit(self, tmp_path, bad):
+        path = _write(tmp_path, "s.csv", "\n".join(VALID_CSV))
+        with pytest.raises(InvalidArgumentError, match="max_gap_minutes"):
+            load_speed_csv(path, bad)
+
+    @pytest.mark.parametrize("limit", [0, 0.0, 3, np.float64(2.5), np.int64(4)])
+    def test_accepts_finite_gap_limit(self, tmp_path, limit):
+        path = _write(tmp_path, "s.csv", "\n".join(VALID_CSV))
+        assert_loads_as_reference(path, limit)
 
 
 # the fuzzed loaders write one file per example into the test's tmp_path
