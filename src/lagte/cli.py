@@ -14,6 +14,7 @@ variable ``LAGTE_SEED`` supplies the seed when ``--seed`` is absent.
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -30,7 +31,6 @@ from .core import (
 from .estimator import estimate_delay, grid_search
 from .network import (
     RoadNetworkInput,
-    _check_max_gap,
     analyze_paths,
     config_to_dict,
     emit_report,
@@ -82,6 +82,18 @@ def _parse_window(text: str):
         raise argparse.ArgumentTypeError(
             f"window must be an integer or {FULL_WINDOW!r}: got {text!r}"
         )
+
+
+def _parse_max_gap(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0: got {text!r}"
+        )
+    return value
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -381,7 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", required=True, help="speed CSV file")
     p.add_argument("--source", required=True, help="source road id")
     p.add_argument("--target", required=True, help="target road id")
-    p.add_argument("--max-gap", type=float, default=10.0, help="gap limit, minutes")
+    p.add_argument(
+        "--max-gap", type=_parse_max_gap, default=10.0, help="gap limit, minutes"
+    )
     p.add_argument("--out", help="JSON destination")
     _add_config_flags(p)
     p.set_defaults(handler=cmd_estimate)
@@ -390,7 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", required=True, help="speed CSV file")
     p.add_argument("--source", required=True, help="source road id")
     p.add_argument("--target", required=True, help="target road id")
-    p.add_argument("--max-gap", type=float, default=10.0, help="gap limit, minutes")
+    p.add_argument(
+        "--max-gap", type=_parse_max_gap, default=10.0, help="gap limit, minutes"
+    )
     p.add_argument(
         "--lengths", type=int, nargs="+", required=True, help="lengths to try"
     )
@@ -435,7 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("path-analyze", help="incident path delay report")
     p.add_argument("--csv", required=True, help="speed CSV file")
     p.add_argument("--paths", required=True, help="path-spec JSON file")
-    p.add_argument("--max-gap", type=float, default=10.0, help="gap limit, minutes")
+    p.add_argument(
+        "--max-gap", type=_parse_max_gap, default=10.0, help="gap limit, minutes"
+    )
     p.add_argument(
         "--before", type=float, default=60.0, help="window minutes before incident"
     )
@@ -462,8 +480,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = _resolve_config(args)
         threads = _resolve_threads(args)
-        if hasattr(args, "max_gap"):
-            _check_max_gap(args.max_gap, "--max-gap")
     except (UsageError, InvalidArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

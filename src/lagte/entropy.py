@@ -381,17 +381,16 @@ def _product_draw(scans: Sequence[tuple], shuffles: int, rng) -> list:
     Takes and returns what ``_scan_draw`` does.  The lags go in blocks of
     at most ``_COUNT_CELLS`` count cells (and at least one lag), and each
     block draws its permutations in lag order, which is the stream one
-    draw of every lag gives.  A lone scan whose symbols fit one group
-    permutes its weights in place; otherwise a block draws one index
-    array and each scan gathers its weights through it.  A ``matmul`` of
-    one group's weight rows against a scan's aligned one-hot gives, per
-    row and target pair, the sum of ``count * 2 ** (bits * digit)`` over
-    the group's symbols.  ``bits = (L - 1).bit_length()`` and each count
-    is at most ``L - 1``, so the digits do not overlap, and every partial
-    sum is an integer below ``2 ** 53``, so the products are exact in any
-    order of summation.  Per symbol, one shift and one mask decode the
-    count ``bincount`` would give.  Each block of a scan then gets one TE
-    pass per target alphabet size.
+    draw of every lag gives.  A block draws one index array and each scan
+    gathers its weights through it.  A ``matmul`` of one group's weight
+    rows against a scan's aligned one-hot gives, per row and target pair,
+    the sum of ``count * 2 ** (bits * digit)`` over the group's symbols.
+    ``bits = (L - 1).bit_length()`` and each count is at most ``L - 1``,
+    so the digits do not overlap, and every partial sum is an integer
+    below ``2 ** 53``, so the products are exact in any order of
+    summation.  Per symbol, one shift and one mask decode the count
+    ``bincount`` would give.  Each block of a scan then gets one TE pass
+    per target alphabet size.
     """
     n_lags, length = scans[0][2].size, scans[0][0].size
     reps = shuffles + 1
@@ -401,14 +400,10 @@ def _product_draw(scans: Sequence[tuple], shuffles: int, rng) -> list:
     n_syms = [int(src.max()) + 1 for src, *_ in scans]
     cells = sum(n_s * onehot.shape[2] for (_, onehot, _), n_s in zip(plans, n_syms))
     step = max(1, _COUNT_CELLS // (reps * max(length, cells)))
-    in_place = len(scans) == 1 and len(plans[0][0]) == 1
     out = [[np.empty((n_lags, reps)) for _ in tgts] for _, tgts, _ in scans]
     for lo in range(0, n_lags, step):
         hi = min(lo + step, n_lags)
-        if in_place:
-            rows = _shuffled_rows(plans[0][0][0], hi - lo, shuffles, rng)
-        else:
-            index = _shuffled_rows(np.arange(length), hi - lo, shuffles, rng)
+        index = _shuffled_rows(np.arange(length), hi - lo, shuffles, rng)
         for (_, _, lags), (weights, onehot, shapes), n_s, scan_out in zip(
             scans, plans, n_syms, out
         ):
@@ -418,7 +413,7 @@ def _product_draw(scans: Sequence[tuple], shuffles: int, rng) -> list:
             counts = np.empty((hi - lo, reps, block.shape[2], n_s))
             for c in range(n_s):
                 if c % per == 0:
-                    weight = rows if in_place else np.take(weights[c // per], index)
+                    weight = np.take(weights[c // per], index)
                     packed = np.matmul(weight, block).astype(np.int64)
                 digit = packed >> (bits * (c % per))
                 np.bitwise_and(digit, (1 << bits) - 1, out=counts[..., c])

@@ -168,9 +168,11 @@ class TestGapReport:
     def test_bad_gap_limit_is_usage_error(self, tmp_path, capsys, limit):
         args = ["estimate", "--source", "A", "--target", "B",
                 "--csv", _gappy_csv(tmp_path), "--max-gap", limit] + FAST
-        assert main(args) == EXIT_USAGE
+        with pytest.raises(SystemExit) as err:
+            main(args)
+        assert err.value.code == EXIT_USAGE
         captured = capsys.readouterr()
-        assert "--max-gap must be a finite number >= 0" in captured.err
+        assert "--max-gap: must be a finite number >= 0" in captured.err
         assert "gaps:" not in captured.out
 
 

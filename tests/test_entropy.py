@@ -526,8 +526,8 @@ class TestProductCounts:
                 assert rng_shared.bit_generator.state == rng_own.bit_generator.state
 
     def test_symbols_split_into_groups_on_long_series(self):
-        # 11-bit counts leave room for 4 symbols per float, so a 5-symbol
-        # source packs its digits into two groups
+        # 12-bit counts (L - 1 = 2048) leave room for 4 symbols per float,
+        # so a 5-symbol source packs its digits into two groups
         rng = np.random.default_rng(3)
         length, lags, shuffles = 2049, np.arange(1, 4), 2
         src = _as_codes(rng.integers(0, 5, length), "source")
