@@ -20,25 +20,16 @@ structure while preserving its marginal distribution, so the average
 transfer entropy over shuffled sources estimates the bias floor, and the
 effective transfer entropy is the raw value minus that floor.
 
-A lag scan is one fused computation.  The source and all its surrogates
-at every candidate lag are rows of one ``(lags, shuffles + 1, L)`` array,
-counted against the target's aligned ``(i_t, i_{t-1})`` pairs, and one
-vectorized pass turns the count tensors into transfer entropies.
+A lag scan is one fused computation, counted one way.  The source and
+its shuffled surrogates do not depend on the target, so a scan builds
+them once for all of its targets: each row's source symbols become base
+``2 ** bits`` digits of one float, and one matrix product against every
+target's aligned ``(i_t, i_{t-1})`` pair one-hot counts every target, a
+block of lags at a time.  Every sum in the product is an integer below
+``2 ** 53``, so the counts are exact.  One vectorized pass per alphabet
+shape then turns the count tensors into transfer entropies.
 ``transfer_entropy`` and ``effective_transfer_entropy`` are the one-lag
 cases of the same scan.
-
-The counts come one of two ways, chosen by the number of targets.  A scan
-with one target adds the target's pair codes to its integer code array,
-offsetting each row into its own block of count bins, and histograms
-every triple with one ``bincount`` (``_count_draw``).  The source half of
-that array -- the source and its shuffled surrogates -- does not depend
-on the target, so a scan with several targets builds it once for all of
-them (``_product_draw``): each row's source symbols become base
-``2 ** bits`` digits of one float, and one matrix product against every
-target's aligned-pair one-hot counts every target, a block of lags at a
-time.  Every sum in the product is an integer below ``2 ** 53``, so both
-ways give the same counts and the same bytes.  With one target there is
-no source work to share, and the product is slower than ``bincount``.
 
 The shuffle draw does not depend on the source either, only on the
 length, the lag count and the surrogate count: sources of one such shape
@@ -47,8 +38,7 @@ indices, and counts of one shape share one TE pass.  ``best_lags_shared``
 is the one front door for lag scans: it validates each item, groups the
 items into draws by shape, and gives every target exactly what
 ``best_lag`` would give it from the same ``rng`` state.  ``best_lag`` is
-its one-item, one-target case; a single source shuffles its values in
-place without an index array.  Every scan is validated by ``_scan_item``
+its one-item, one-target case.  Every scan is validated by ``_scan_item``
 and run by ``_scan_draw``.
 """
 
@@ -80,8 +70,8 @@ _NEG_TOL = 1e-9
 # 2**53, so products pack at most this many bits of counts per float.
 _EXACT_BITS = 53
 
-# Count cells per block of lags in a scan with several targets; no array a
-# block makes is larger, unless one lag alone is.
+# Count cells per block of lags, and per TE pass, in a scan; no array
+# either makes is larger, unless one lag alone is.
 _COUNT_CELLS = 1 << 15
 
 SymbolsLike = Union[SymbolSeries, Sequence[int], np.ndarray]
@@ -129,7 +119,7 @@ def shannon_entropy(probabilities: Sequence[float]) -> float:
     Parameters
     ----------
     probabilities : sequence of float
-        Nonnegative entries summing to 1 within 1e-9.
+        Finite, nonnegative entries summing to 1 within 1e-9.
 
     Returns
     -------
@@ -142,6 +132,8 @@ def shannon_entropy(probabilities: Sequence[float]) -> float:
         raise InvalidArgumentError(f"probabilities must be numbers: {exc}") from exc
     if p.ndim != 1 or p.size == 0:
         raise InvalidArgumentError("probabilities must be a nonempty 1-d sequence")
+    if not np.all(np.isfinite(p)):
+        raise InvalidArgumentError("probabilities must be finite")
     if np.any(p < 0.0):
         raise InvalidArgumentError("probabilities must be nonnegative")
     total = p.sum()
@@ -167,10 +159,12 @@ def _as_codes(series: SymbolsLike, name: str) -> np.ndarray:
         if values.ndim != 1:
             raise InvalidArgumentError(f"{name} must be a 1-d symbol sequence")
         if values.size and not np.issubdtype(values.dtype, np.integer):
-            as_int = values.astype(np.int64)
-            if not np.array_equal(as_int, values):
+            # only finite integer values in int64's range cast exactly
+            if values.dtype.kind not in "bf" or not np.all(
+                (np.abs(values) < 2.0**63) & (np.trunc(values) == values)
+            ):
                 raise InvalidArgumentError(f"{name} must contain integer symbols")
-            values = as_int
+            values = values.astype(np.int64)
     if values.size == 0:
         raise InvalidArgumentError(f"{name} must be nonempty")
     _, codes = np.unique(values, return_inverse=True)
@@ -226,10 +220,12 @@ def _axis_sum(counts: np.ndarray, axis: int) -> np.ndarray:
     is exact, and adding slices is much faster than a reduction over an
     axis of two or three elements.
     """
-    parts = np.moveaxis(counts, axis, 0)
-    total = parts[0].copy()
-    for part in parts[1:]:
-        total += part
+    index = [slice(None)] * counts.ndim
+    index[axis] = 0
+    total = counts[tuple(index)].copy()
+    for k in range(1, counts.shape[axis]):
+        index[axis] = k
+        total += counts[tuple(index)]
     return total
 
 
@@ -261,87 +257,29 @@ def _te_from_counts(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
     return np.maximum(te, 0.0)
 
 
-def _lag_counts(rows: np.ndarray, tgt: np.ndarray, lags: np.ndarray) -> np.ndarray:
-    """Triple counts of every row of a source code array against one target.
-
-    ``rows`` is a ``(lags, shuffles + 1, L)`` array of ``_shuffled_rows``.
-    Returns shape ``(len(lags) * (shuffles + 1), n_t, n_t, n_s)``, in the
-    row order of ``rows``.  The target's pair codes are added to ``rows``
-    in place, and one ``bincount`` counts every row.  Each row owns a slab
-    of ``n_t * n_t + 1`` target pairs by ``n_s`` source symbols; the extra
-    pair collects the positions past the aligned range ``L - u`` and is
-    dropped.
-    """
-    n_lags, reps, length = rows.shape
-    n_t = int(tgt.max()) + 1
-    n_s = int(rows[0, 0].max()) + 1
-    n_pairs = n_t * n_t
-    slab = (n_pairs + 1) * n_s
-
-    # the target pair (i_t, i_{t-1}) aligned with source position p at lag
-    # u is pairs[p + u - 1]; the padding covers p >= L - u
-    pairs = np.concatenate(
-        (tgt[1:] * n_t + tgt[:-1], np.full(length, n_pairs, dtype=np.intp))
-    )
-    aligned = sliding_window_view(pairs, length)[lags - 1]
-    aligned *= n_s
-    aligned += (np.arange(n_lags) * (reps * slab))[:, None]
-    codes = np.add(rows, aligned[:, None, :], out=rows)
-    codes += (np.arange(reps) * slab)[:, None]
-    counts = np.bincount(codes.ravel(), minlength=n_lags * reps * slab)
-    counts = counts.reshape(n_lags * reps, n_pairs + 1, n_s)[:, :n_pairs]
-    return counts.reshape(n_lags * reps, n_t, n_t, n_s)
-
-
-def _shuffled_rows(values: np.ndarray, n_lags: int, shuffles: int, rng) -> np.ndarray:
-    """``(n_lags, shuffles + 1, L)`` copies of ``values``, all but the first
+def _shuffled_rows(length: int, n_lags: int, shuffles: int, rng) -> np.ndarray:
+    """``(n_lags, shuffles + 1, L)`` rows of ``arange(L)``, all but the first
     of each lag permuted.
 
-    Within each lag, row 0 is ``values`` itself and the rest are
-    permutations, drawn lag by lag and surrogate by surrogate from ``rng``
-    (the same stream as one ``rng.permutation`` call each).  The draws
-    depend only on ``L`` and the row count, not on the values or their
-    dtype, so the rows of ``arange(L)`` index the same permutations of any
-    series, and drawing a range of lags in consecutive blocks draws what
-    one call for the whole range draws.
+    Within each lag, row 0 is the identity and the rest are permutations,
+    drawn lag by lag and surrogate by surrogate from ``rng`` (the same
+    stream as one ``rng.permutation`` call each), so gathering any series
+    through the rows shuffles it as those calls would.  Drawing a range of
+    lags in consecutive blocks draws what one call for the whole range
+    draws.
     """
-    rows = np.empty((n_lags, shuffles + 1, values.size), dtype=values.dtype)
-    rows[:] = values
+    rows = np.empty((n_lags, shuffles + 1, length), dtype=np.int64)
+    rows[:] = np.arange(length)
     if shuffles:
         surrogates = rows[:, 1:]
         rng.permuted(surrogates, axis=2, out=surrogates)
     return rows
 
 
-def _count_draw(scans: Sequence[tuple], shuffles: int, rng) -> list:
-    """Per one-target scan, the triple counts of its source and surrogates
-    against its target, all from one shuffle draw, by ``bincount``.
-
-    ``scans`` holds ``(src, [tgt], lags)`` items with sources of one length
-    and lag ranges of one size; the result lists each scan's counts.  One
-    scan fills its ``(lags, shuffles + 1, L)`` code array with its source
-    and permutes it in place.  Several draw the permutations once as an
-    index array and gather each source through it.  The target's codes
-    are added in place, so each scan allocates a single code array.
-    """
-    n_lags, length = scans[0][2].size, scans[0][0].size
-    index = None
-    if len(scans) > 1:
-        index = _shuffled_rows(np.arange(length), n_lags, shuffles, rng)
-    counts = []
-    for src, (tgt,), lags in scans:
-        if index is None:
-            rows = _shuffled_rows(src, n_lags, shuffles, rng)
-        else:
-            rows = np.take(src, index)
-        counts.append(_lag_counts(rows, tgt, lags))
-    return counts
-
-
 def _product_plan(
     src: np.ndarray, tgts: Sequence[np.ndarray], lags: np.ndarray, bits: int
 ) -> tuple:
-    """What ``_product_draw`` needs of one scan, built once per draw.
+    """What ``_scan_draw`` needs of one scan, built once per draw.
 
     Returns ``(weights, onehot, shapes)``.  Source symbol ``c`` is digit
     ``c % per`` of group ``c // per``, with ``per = _EXACT_BITS // bits``
@@ -374,66 +312,9 @@ def _product_plan(
     return weights, onehot, list(shapes.items())
 
 
-def _product_draw(scans: Sequence[tuple], shuffles: int, rng) -> list:
-    """Transfer entropy of each scan's source and surrogates against each
-    of its targets, from one shuffle draw, counted by matrix products.
-
-    Takes and returns what ``_scan_draw`` does.  The lags go in blocks of
-    at most ``_COUNT_CELLS`` count cells (and at least one lag), and each
-    block draws its permutations in lag order, which is the stream one
-    draw of every lag gives.  A block draws one index array and each scan
-    gathers its weights through it.  A ``matmul`` of one group's weight
-    rows against a scan's aligned one-hot gives, per row and target pair,
-    the sum of ``count * 2 ** (bits * digit)`` over the group's symbols.
-    ``bits = (L - 1).bit_length()`` and each count is at most ``L - 1``,
-    so the digits do not overlap, and every partial sum is an integer
-    below ``2 ** 53``, so the products are exact in any order of
-    summation.  Per symbol, one shift and one mask decode the count
-    ``bincount`` would give.  Each block of a scan then gets one TE pass
-    per target alphabet size.
-    """
-    n_lags, length = scans[0][2].size, scans[0][0].size
-    reps = shuffles + 1
-    bits = (length - 1).bit_length()
-    per = max(1, _EXACT_BITS // bits)
-    plans = [_product_plan(src, tgts, lags, bits) for src, tgts, lags in scans]
-    n_syms = [int(src.max()) + 1 for src, *_ in scans]
-    cells = sum(n_s * onehot.shape[2] for (_, onehot, _), n_s in zip(plans, n_syms))
-    step = max(1, _COUNT_CELLS // (reps * max(length, cells)))
-    out = [[np.empty((n_lags, reps)) for _ in tgts] for _, tgts, _ in scans]
-    for lo in range(0, n_lags, step):
-        hi = min(lo + step, n_lags)
-        index = _shuffled_rows(np.arange(length), hi - lo, shuffles, rng)
-        for (_, _, lags), (weights, onehot, shapes), n_s, scan_out in zip(
-            scans, plans, n_syms, out
-        ):
-            block = onehot[lags[lo] - 1 : lags[hi - 1]]
-            # one long strided pass per symbol writes the counts with the
-            # source symbol innermost, as _te_from_counts reads them
-            counts = np.empty((hi - lo, reps, block.shape[2], n_s))
-            for c in range(n_s):
-                if c % per == 0:
-                    weight = np.take(weights[c // per], index)
-                    packed = np.matmul(weight, block).astype(np.int64)
-                digit = packed >> (bits * (c % per))
-                np.bitwise_and(digit, (1 << bits) - 1, out=counts[..., c])
-            offset = 0
-            for n_t, ks in shapes:
-                width = len(ks) * n_t * n_t
-                te = _te_from_counts(
-                    counts[:, :, offset : offset + width].reshape(-1, n_t, n_t, n_s),
-                    np.repeat((length - lags[lo:hi]).astype(float), reps * len(ks)),
-                )
-                te = te.reshape(hi - lo, reps, len(ks))
-                for j, k in enumerate(ks):
-                    scan_out[k][lo:hi] = te[:, :, j]
-                offset += width
-    return out
-
-
 def _scan_draw(scans: Sequence[tuple], shuffles: int, rng) -> list:
     """Transfer entropy of each scan's source and surrogates against each
-    of its targets, from one shuffle draw.
+    of its targets, from one shuffle draw, counted by matrix products.
 
     ``scans`` holds validated ``(src, tgts, lags)`` items of ``_scan_item``
     with sources of one length and lag ranges of one size.  Returns, per
@@ -442,33 +323,83 @@ def _scan_draw(scans: Sequence[tuple], shuffles: int, rng) -> list:
     bytes it would get alone from ``rng`` in the state this call found it
     in, and ``rng`` advances as that one scan would advance it.
 
-    The target count picks the counting path.  When every scan has one
-    target, ``_count_draw`` counts each by one ``bincount`` of its code
-    array, and counts of one shape go through one TE pass.  Counting is a
-    separate call so that the code arrays are freed before the TE
-    temporaries are allocated, which keeps the peak memory down.  When a
-    scan has several targets, its source side is shared among them, and
-    ``_product_draw`` counts every target at once by matrix products, a
-    block of lags at a time.  Both paths give the same bytes.
+    The lags are drawn in blocks of at most ``_COUNT_CELLS`` rows by
+    ``max(L, count cells)`` (and at least one lag), each block in lag
+    order, which is the stream one draw of every lag gives.  A block draws
+    one index array and each scan gathers its weights through it.  A
+    ``matmul`` of one group's weight rows against a scan's aligned one-hot
+    gives, per row and target pair, the sum of ``count * 2 ** (bits *
+    digit)`` over the group's symbols.  ``bits = (L - 1).bit_length()`` and
+    each count is at most ``L - 1``, so the digits do not overlap, and
+    every partial sum is an integer below ``2 ** 53``, so the products are
+    exact in any order of summation.  Per symbol, one shift and one mask
+    decode the count.  The counts of as many blocks as ``_COUNT_CELLS``
+    count cells hold go through one TE pass per ``(n_t, n_s)`` alphabet
+    shape, which spans every scan and target of that shape.
     """
-    if any(len(tgts) > 1 for _, tgts, _ in scans):
-        return _product_draw(scans, shuffles, rng)
-    counts = _count_draw(scans, shuffles, rng)
     n_lags, length = scans[0][2].size, scans[0][0].size
-    totals = [
-        np.repeat((length - lags).astype(float), shuffles + 1) for *_, lags in scans
-    ]
-    by_shape = {}  # count shape -> scan indices
-    for i, c in enumerate(counts):
-        by_shape.setdefault(c.shape, []).append(i)
-    out = [None] * len(scans)
-    for members in by_shape.values():
-        te = _te_from_counts(
-            np.concatenate([counts[i] for i in members], dtype=float),
-            np.concatenate([totals[i] for i in members]),
-        )
-        for i, scan in zip(members, te.reshape(len(members), n_lags, -1)):
-            out[i] = [scan]
+    reps = shuffles + 1
+    bits = (length - 1).bit_length()
+    per = max(1, _EXACT_BITS // bits)
+    plans = [_product_plan(src, tgts, lags, bits) for src, tgts, lags in scans]
+    n_syms = [int(src.max()) + 1 for src, *_ in scans]
+    passes = {}  # (n_t, n_s) -> (scan, its count columns, its targets)
+    for i, ((_, _, shapes), n_s) in enumerate(zip(plans, n_syms)):
+        offset = 0
+        for n_t, ks in shapes:
+            cols = slice(offset, offset + len(ks) * n_t * n_t)
+            passes.setdefault((n_t, n_s), []).append((i, cols, ks))
+            offset = cols.stop
+    cells = sum(n_s * onehot.shape[2] for (_, onehot, _), n_s in zip(plans, n_syms))
+    step = max(1, _COUNT_CELLS // (reps * max(length, cells)))
+    span = step * max(1, _COUNT_CELLS // (reps * cells) // step)
+    out = [[np.empty((n_lags, reps)) for _ in tgts] for _, tgts, _ in scans]
+    for start in range(0, n_lags, span):
+        stop = min(start + span, n_lags)
+        # the source symbol innermost, as _te_from_counts reads the counts
+        counts = [
+            np.empty((stop - start, reps, onehot.shape[2], n_s))
+            for (_, onehot, _), n_s in zip(plans, n_syms)
+        ]
+        for lo in range(start, stop, step):
+            hi = min(lo + step, stop)
+            index = _shuffled_rows(length, hi - lo, shuffles, rng)
+            for (_, _, lags), (weights, onehot, _), n_s, scan_counts in zip(
+                scans, plans, n_syms, counts
+            ):
+                block = onehot[lags[lo] - 1 : lags[hi - 1]]
+                block_counts = scan_counts[lo - start : hi - start]
+                for c in range(n_s):
+                    if c % per == 0:
+                        weight = np.take(weights[c // per], index)
+                        packed = np.matmul(weight, block).astype(np.int64)
+                    digit = packed >> (bits * (c % per))
+                    np.bitwise_and(digit, (1 << bits) - 1, out=block_counts[..., c])
+        # free the last block's arrays so that the TE pass reuses their
+        # memory: held through the pass, they left so much memory free after
+        # it that glibc gave it back to the system and faulted it in again
+        # for the next pass (about 250 minor faults per default scan)
+        del index, weight, packed, digit
+        for (n_t, n_s), members in passes.items():
+            # targets innermost: the counts of a scan of one alphabet shape
+            # are its rows without a copy
+            rows = [
+                counts[i][:, :, cols].reshape(-1, n_t, n_t, n_s)
+                for i, cols, _ in members
+            ]
+            totals = [
+                np.repeat(length - scans[i][2][start:stop], reps * len(ks))
+                for i, _, ks in members
+            ]
+            te = _te_from_counts(
+                rows[0] if len(rows) == 1 else np.concatenate(rows),
+                np.concatenate(totals).astype(float),
+            )
+            ends = np.cumsum([len(r) for r in rows])[:-1]
+            for (i, _, ks), part in zip(members, np.split(te, ends)):
+                part = part.reshape(stop - start, reps, len(ks))
+                for j, k in enumerate(ks):
+                    out[i][k][start:stop] = part[:, :, j]
     return out
 
 

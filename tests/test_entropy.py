@@ -481,9 +481,8 @@ class TestSharedDraw:
 
 
 class TestProductCounts:
-    """A draw with a multi-target scan counts by matrix products, a block of
-    lags at a time, and gives every target the bytes of its own one-target
-    ``bincount`` scan."""
+    """Every draw counts by matrix products, a block of lags at a time, and
+    gives every target the bytes of the per-lag reference loop."""
 
     @given(
         data=st.data(),
@@ -496,9 +495,6 @@ class TestProductCounts:
     @settings(max_examples=150, deadline=None)
     def test_equals_each_target_alone(self, data, length, n_items, shuffles, cap, seed):
         items = _shared_draw_items(data, length, n_items, 1, max_targets=4)
-        first_targets = items[0][1]
-        if len(first_targets) == 1:
-            first_targets.append(first_targets[0][::-1])
         scans = [
             (
                 _as_codes(source, "source"),
@@ -507,23 +503,18 @@ class TestProductCounts:
             )
             for source, targets, config in items
         ]
-
-        def no_bincount(*args):
-            raise AssertionError("a multi-target draw must not count by bincount")
-
         rng_shared = np.random.default_rng(seed)
         with pytest.MonkeyPatch.context() as mp:
-            # a small cap splits the lags into several blocks
+            # a small cap splits the lags into several blocks and passes
             mp.setattr(entropy, "_COUNT_CELLS", cap)
-            mp.setattr(entropy, "_count_draw", no_bincount)
             got = _scan_draw(scans, shuffles, rng_shared)
         for (src, tgts, lags), per_target in zip(scans, got):
             assert len(per_target) == len(tgts)
             for tgt, scan in zip(tgts, per_target):
-                rng_own = np.random.default_rng(seed)
-                ((want,),) = _scan_draw([(src, [tgt], lags)], shuffles, rng_own)
+                rng_ref = np.random.default_rng(seed)
+                want = scan_reference(src, tgt, lags, shuffles, rng_ref)
                 assert scan.tobytes() == want.tobytes()
-                assert rng_shared.bit_generator.state == rng_own.bit_generator.state
+                assert rng_shared.bit_generator.state == rng_ref.bit_generator.state
 
     def test_symbols_split_into_groups_on_long_series(self):
         # 12-bit counts (L - 1 = 2048) leave room for 4 symbols per float,
@@ -539,19 +530,24 @@ class TestProductCounts:
             assert scan.tobytes() == want.tobytes()
 
     def test_corridor_scan_holds_a_few_blocks(self):
-        # L=180, 30 lags, 50 shuffles, 6 targets: each (lags, 51, 180) array
-        # of the one-target path would take 2.2 MB on its own
-        rng = np.random.default_rng(0)
-        src = _as_codes(rng.integers(0, 3, 180), "source")
-        tgts = [_as_codes(rng.integers(0, 3, 180), "target") for _ in range(6)]
-        scans = [(src, tgts, np.arange(1, 31))]
-        tracemalloc.start()
-        try:
-            _scan_draw(scans, 50, np.random.default_rng(1))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * entropy._COUNT_CELLS * 8
+        # 30 lags, 50 shuffles: a corridor scan of 6 targets (L=180), and a
+        # default one-target scan (L=120); a (lags, 51, L) array of either
+        # would take 1.5-2.2 MB on its own
+        for length, n_targets in [(180, 6), (120, 1)]:
+            rng = np.random.default_rng(0)
+            src = _as_codes(rng.integers(0, 3, length), "source")
+            tgts = [
+                _as_codes(rng.integers(0, 3, length), "target")
+                for _ in range(n_targets)
+            ]
+            scans = [(src, tgts, np.arange(1, 31))]
+            tracemalloc.start()
+            try:
+                _scan_draw(scans, 50, np.random.default_rng(1))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * entropy._COUNT_CELLS * 8, (length, n_targets)
 
 
 class TestArgumentChecks:
@@ -599,6 +595,48 @@ class TestArgumentChecks:
     def test_shannon_entropy_of_strings(self):
         with pytest.raises(InvalidArgumentError, match="numbers"):
             shannon_entropy(["a"])
+
+    @pytest.mark.parametrize("probabilities", [[np.nan], [1.0, np.nan], [np.inf]])
+    def test_shannon_entropy_non_finite(self, probabilities):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            shannon_entropy(probabilities)
+
+    BAD_SYMBOLS = {
+        "nan": [np.nan] + [1.0] * 9,
+        "inf": [np.inf] + [1.0] * 9,
+        "huge": [1e30] + [1.0] * 9,
+        "half": [1.5] + [1.0] * 9,
+        "string": ["a", "b"] * 5,
+        "none": [None] + [1] * 9,
+    }
+
+    @pytest.mark.parametrize("symbols", BAD_SYMBOLS.values(), ids=BAD_SYMBOLS)
+    def test_transfer_entropy_symbols(self, symbols):
+        # rejected before any cast, so no RuntimeWarning and no raw error
+        with pytest.raises(InvalidArgumentError, match="integer symbols"):
+            transfer_entropy(symbols, self.SERIES, 1)
+        with pytest.raises(InvalidArgumentError, match="integer symbols"):
+            transfer_entropy(self.SERIES, symbols, 1)
+
+    def test_integer_valued_floats_keep_their_codes(self):
+        floats = self.SERIES.astype(float) * 2.0 - 3.0
+        assert _as_codes(floats, "source").tobytes() == _as_codes(
+            self.SERIES, "source"
+        ).tobytes()
+        assert transfer_entropy(floats, self.SERIES, 2) == transfer_entropy(
+            self.SERIES, self.SERIES, 2
+        )
+
+    def test_bad_symbols_fail_their_item_alone(self):
+        config = PipelineConfig(lag_max=3, shuffle_reps=2)
+        good = (self.SERIES, [self.SERIES], config)
+        items = [good, (self.SERIES, [self.BAD_SYMBOLS["nan"]], config), good]
+        got = best_lags_shared(items, np.random.default_rng(4))
+        assert isinstance(got[1], InvalidArgumentError)
+        assert "integer symbols" in str(got[1])
+        (want,) = best_lags_shared([good], np.random.default_rng(4))
+        assert_same_outcome(got[0], want)
+        assert_same_outcome(got[2], want)
 
 
 def coupled_pair(u0, length, rng, drive=0.3, keep=0.3):
