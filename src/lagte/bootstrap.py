@@ -23,7 +23,13 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import InvalidArgumentError, SpeedSeries, _is_int
+from .core import (
+    InvalidArgumentError,
+    SpeedSeries,
+    _as_floats,
+    _check_int,
+    _check_rng,
+)
 
 __all__ = ["MarkovModel", "fit_markov", "sample_bootstrap_series"]
 
@@ -72,19 +78,6 @@ class MarkovModel:
         return self.pi_hat.size
 
 
-def _residual_values(residuals) -> np.ndarray:
-    values = (
-        residuals.values
-        if isinstance(residuals, SpeedSeries)
-        else np.asarray(residuals, dtype=float)
-    )
-    if values.ndim != 1 or values.size < 2:
-        raise InvalidArgumentError("residuals must be a 1-d sequence of length >= 2")
-    if not np.all(np.isfinite(values)):
-        raise InvalidArgumentError("residuals must be finite")
-    return values
-
-
 def fit_markov(residuals: Sequence[float], n_states: int) -> MarkovModel:
     """Fit a first-order chain to a residual series.
 
@@ -106,11 +99,8 @@ def fit_markov(residuals: Sequence[float], n_states: int) -> MarkovModel:
     -------
     MarkovModel
     """
-    values = _residual_values(residuals)
-    if not _is_int(n_states) or n_states < 1:
-        raise InvalidArgumentError(
-            f"n_states must be an integer >= 1: got {n_states!r}"
-        )
+    values = _as_floats(residuals, "residuals", min_size=2, finite=True)
+    _check_int(n_states, "n_states", 1)
     distinct = np.unique(values).size
     if n_states > distinct:
         warnings.warn(
@@ -193,13 +183,13 @@ def sample_bootstrap_series(
     SpeedSeries
         ``trend[t] + residual_walk[t]`` per sample.
     """
-    trend_arr = np.asarray(trend, dtype=float)
-    if trend_arr.ndim != 1 or trend_arr.size != length:
+    _check_int(length, "length", 1)
+    _check_rng(rng)
+    trend_arr = _as_floats(trend, "trend")
+    if trend_arr.size != length:
         raise InvalidArgumentError(
             f"trend length {trend_arr.size} must equal the requested length {length}"
         )
-    if length < 1:
-        raise InvalidArgumentError("length must be >= 1")
 
     # pinning the cumulative tails to exactly 1.0 keeps sub-ulp rounding of
     # the partial sums from ever selecting past the last state

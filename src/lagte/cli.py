@@ -14,7 +14,6 @@ variable ``LAGTE_SEED`` supplies the seed when ``--seed`` is absent.
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -27,6 +26,7 @@ from .core import (
     LagSample,
     LagTEError,
     PipelineConfig,
+    _check_number,
 )
 from .estimator import estimate_delay, grid_search
 from .network import (
@@ -88,12 +88,12 @@ def _parse_max_gap(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        value = math.nan
-    if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number >= 0: got {text!r}"
-        )
-    return value
+        value = text  # the check below names it
+    try:
+        return _check_number(value, "--max-gap", 0)
+    except InvalidArgumentError as exc:
+        # argparse puts "argument --max-gap: " before the message
+        raise argparse.ArgumentTypeError(str(exc).removeprefix("--max-gap "))
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:

@@ -9,6 +9,7 @@ presentation concern handled at report emission.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from datetime import datetime
 from typing import Mapping, Optional, Sequence, Tuple, Union
@@ -73,6 +74,106 @@ class ParseError(DataError):
         super().__init__(message)
 
 
+def _is_int(value) -> bool:
+    # bool is an int subclass, but True is no count of anything
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    # NaN and the infinities included
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_int(value, name: str, minimum: int, maximum: Optional[int] = None):
+    """``value``, if it is an integer in ``[minimum, maximum]``."""
+    if not (
+        _is_int(value) and value >= minimum and (maximum is None or value <= maximum)
+    ):
+        bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+        raise InvalidArgumentError(f"{name} must be an integer {bound}: got {value!r}")
+    return value
+
+
+def _check_number(value, name: str, minimum: float, strict: bool = False):
+    """``value``, if it is a finite real number ``>= minimum`` (``>`` when
+    ``strict``)."""
+    if not (
+        _is_real(value)
+        and math.isfinite(value)
+        and (value > minimum if strict else value >= minimum)
+    ):
+        raise InvalidArgumentError(
+            f"{name} must be a finite number {'>' if strict else '>='} {minimum}: "
+            f"got {value!r}"
+        )
+    return value
+
+
+def _check_level(level) -> None:
+    if not (_is_real(level) and 0.0 < level < 1.0):
+        raise InvalidArgumentError(f"level must be a number in (0, 1): got {level!r}")
+
+
+def _check_rng(rng) -> None:
+    if not isinstance(rng, np.random.Generator):
+        raise InvalidArgumentError(
+            f"an explicit numpy Generator rng is required: got {rng!r}"
+        )
+
+
+def _check_config(config, name: str = "config") -> None:
+    if not isinstance(config, PipelineConfig):
+        raise InvalidArgumentError(f"{name} must be a PipelineConfig: got {config!r}")
+
+
+def _check_window(w) -> None:
+    if not (w == FULL_WINDOW if isinstance(w, str) else _is_int(w) and w >= 1):
+        raise InvalidArgumentError(
+            f"window must be a positive integer or {FULL_WINDOW!r}: got {w!r}"
+        )
+
+
+def _as_floats(
+    values, name: str, ndims=(1,), min_size: int = 1, finite: bool = False
+) -> np.ndarray:
+    """``values`` (a ``SpeedSeries`` gives its values) as a float array of
+    one of ``ndims`` dimensions and at least ``min_size`` entries, all finite
+    when ``finite``.  Only the ``finite`` check reads the entries."""
+    if isinstance(values, SpeedSeries):
+        values = values.values
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"{name} must be numbers: {exc}") from exc
+    if arr.ndim not in ndims:
+        raise InvalidArgumentError(
+            f"{name} must have {' or '.join(map(str, ndims))} dimensions: "
+            f"got {arr.ndim} dimensions"
+        )
+    if arr.size < min_size:
+        raise InvalidArgumentError(
+            f"{name} must have at least {min_size} entries: got {arr.size}"
+        )
+    if finite and not np.isfinite(arr).all():
+        raise InvalidArgumentError(f"{name} must be finite")
+    return arr
+
+
+def _as_cutoffs(
+    values, name: str, count: Optional[int] = None, probs: bool = False
+) -> np.ndarray:
+    """``values`` as strictly increasing finite cutoffs, ``count`` of them if
+    given, each strictly inside (0, 1) when ``probs``."""
+    cuts = _as_floats(values, name, finite=True)
+    if count is not None and cuts.size != count:
+        raise InvalidArgumentError(f"{name} must have {count} entries: got {cuts.size}")
+    if np.any(np.diff(cuts) <= 0.0):
+        raise InvalidArgumentError(f"{name} must be strictly increasing")
+    if probs and not 0.0 < cuts[0] <= cuts[-1] < 1.0:
+        raise InvalidArgumentError(f"{name} must lie strictly in (0, 1)")
+    return cuts
+
+
 def derive_replicate_rng(
     seed: int, replicate_index: int, stream_tag: int
 ) -> np.random.Generator:
@@ -93,25 +194,11 @@ def derive_replicate_rng(
         Small integer separating streams within one replicate (see the
         ``TAG_*`` module constants).
     """
-    if not 0 <= seed <= _MAX_SEED:
-        raise InvalidArgumentError(f"seed must be in [0, 2**64): got {seed}")
-    if replicate_index < 0:
-        raise InvalidArgumentError(
-            f"replicate_index must be nonnegative: got {replicate_index}"
-        )
+    _check_int(seed, "seed", 0, _MAX_SEED)
+    _check_int(replicate_index, "replicate_index", 0)
+    _check_int(stream_tag, "stream_tag", 0)
     ss = np.random.SeedSequence(seed, spawn_key=(replicate_index, stream_tag))
     return np.random.default_rng(ss)
-
-
-def _as_float_array(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise InvalidArgumentError(f"{name} must be a nonempty 1-d sequence")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidArgumentError(f"{name} must contain only finite values")
-    arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True)
@@ -137,30 +224,23 @@ class SpeedSeries:
     start_time: Optional[datetime] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_float_array(self.values, "values"))
-        if not (self.period > 0):
-            raise InvalidArgumentError(f"period must be positive: got {self.period}")
+        values = _as_floats(self.values, "values", finite=True).copy()
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        _check_number(self.period, "period", 0, strict=True)
 
     def __len__(self) -> int:
         return self.values.size
 
     def tail(self, n: int) -> "SpeedSeries":
         """The ``n`` most recent samples as a new series."""
-        if n < 1 or n > len(self):
-            raise InvalidArgumentError(
-                f"cannot take {n} most recent samples of a length-{len(self)} series"
-            )
+        _check_int(n, "tail length", 1, len(self))
         start = None
         if self.start_time is not None:
             from datetime import timedelta
 
             start = self.start_time + timedelta(minutes=(len(self) - n) * self.period)
         return SpeedSeries(self.values[len(self) - n :], self.period, self.label, start)
-
-
-def _is_int(value) -> bool:
-    # bool is an int subclass, but True is no count of anything
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 # Integer fields of PipelineConfig and their smallest allowed values.
@@ -172,7 +252,7 @@ _INT_FIELDS = (
     ("shuffle_reps", 1),
     ("lag_min", 1),
     ("lag_max", 1),
-    ("seed", 0),
+    ("seed", 0, _MAX_SEED),
 )
 
 
@@ -205,29 +285,13 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, minimum in _INT_FIELDS:
-            value = getattr(self, name)
-            if not _is_int(value) or value < minimum:
-                raise InvalidArgumentError(
-                    f"{name} must be an integer >= {minimum}: got {value!r}"
-                )
-        if self.window != FULL_WINDOW:
-            if not _is_int(self.window) or self.window < 1:
-                raise InvalidArgumentError(
-                    f"window must be a positive integer or {FULL_WINDOW!r}: "
-                    f"got {self.window!r}"
-                )
-        q = tuple(float(p) for p in self.encode_quantiles)
-        object.__setattr__(self, "encode_quantiles", q)
-        if len(q) != self.encode_bins - 1:
-            raise InvalidArgumentError(
-                f"encode_quantiles must have encode_bins-1={self.encode_bins - 1} "
-                f"entries: got {len(q)}"
-            )
-        if any(not (0.0 < p < 1.0) for p in q):
-            raise InvalidArgumentError("encode_quantiles must lie strictly in (0, 1)")
-        if any(b <= a for a, b in zip(q, q[1:])):
-            raise InvalidArgumentError("encode_quantiles must be strictly increasing")
+        for name, *bounds in _INT_FIELDS:
+            _check_int(getattr(self, name), name, *bounds)
+        _check_window(self.window)
+        q = _as_cutoffs(
+            self.encode_quantiles, "encode_quantiles", self.encode_bins - 1, probs=True
+        )
+        object.__setattr__(self, "encode_quantiles", tuple(q.tolist()))
         if self.lag_min > self.lag_max:
             raise InvalidArgumentError(
                 f"need 1 <= lag_min <= lag_max: got [{self.lag_min}, {self.lag_max}]"
@@ -236,8 +300,6 @@ class PipelineConfig:
             raise InvalidArgumentError(
                 f"norm_method must be one of {NORM_METHODS}: got {self.norm_method!r}"
             )
-        if self.seed > _MAX_SEED:
-            raise InvalidArgumentError("seed must be a 64-bit unsigned integer")
 
     def validate_for_length(self, length: int) -> None:
         """Check the lag range and window against a concrete series length."""
@@ -269,9 +331,7 @@ def functionals(lags: Sequence[int]) -> Tuple[float, float]:
     The variance uses the replicate count as divisor (mean of squares
     minus squared mean), not the unbiased ``B - 1`` form.
     """
-    arr = np.asarray(lags, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise InvalidArgumentError("lags must be a nonempty 1-d sequence")
+    arr = _as_floats(lags, "lags", finite=True)
     mu = float(arr.mean())
     sigma2 = max(float(np.mean(arr**2) - mu**2), 0.0)  # guard float cancellation
     return mu, sigma2
@@ -285,10 +345,9 @@ def lemma1_interval(
     ``mu_hat +/- z * sqrt(sigma2_hat / b)`` where ``z`` is the two-sided
     normal quantile for ``level``.
     """
-    if b < 1:
-        raise InvalidArgumentError(f"replicate count must be >= 1: got {b}")
-    if sigma2_hat < 0:
-        raise InvalidArgumentError(f"variance must be >= 0: got {sigma2_hat}")
+    _check_int(b, "replicate count", 1)
+    _check_number(sigma2_hat, "variance", 0)
+    _check_level(level)
     half = _z_value(level) * math.sqrt(sigma2_hat / b)
     return mu_hat - half, mu_hat + half
 
@@ -312,7 +371,7 @@ class LagSample:
 
     @classmethod
     def from_lags(cls, lags, level: float = 0.95) -> "LagSample":
-        lag_list = tuple(int(u) for u in lags)
+        lag_list = tuple(int(_check_int(u, "lag", 1)) for u in lags)
         mu, sigma2 = functionals(lag_list)
         b = len(lag_list)
         return cls(

@@ -50,7 +50,15 @@ from typing import Sequence, Tuple, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import InvalidArgumentError, LagTEError, PipelineConfig, _is_int
+from .core import (
+    InvalidArgumentError,
+    LagTEError,
+    PipelineConfig,
+    _as_floats,
+    _check_config,
+    _check_int,
+    _check_rng,
+)
 from .preprocess import SymbolSeries
 
 __all__ = [
@@ -126,14 +134,7 @@ def shannon_entropy(probabilities: Sequence[float]) -> float:
     float
         ``-sum(p * log2(p))`` with the ``0 * log2(0) = 0`` convention.
     """
-    try:
-        p = np.asarray(probabilities, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidArgumentError(f"probabilities must be numbers: {exc}") from exc
-    if p.ndim != 1 or p.size == 0:
-        raise InvalidArgumentError("probabilities must be a nonempty 1-d sequence")
-    if not np.all(np.isfinite(p)):
-        raise InvalidArgumentError("probabilities must be finite")
+    p = _as_floats(probabilities, "probabilities", finite=True)
     if np.any(p < 0.0):
         raise InvalidArgumentError("probabilities must be nonnegative")
     total = p.sum()
@@ -171,13 +172,6 @@ def _as_codes(series: SymbolsLike, name: str) -> np.ndarray:
     return codes.astype(np.int64)
 
 
-def _check_rng(rng) -> None:
-    if not isinstance(rng, np.random.Generator):
-        raise InvalidArgumentError(
-            f"an explicit numpy Generator rng is required: got {rng!r}"
-        )
-
-
 def _scan_item(
     source: SymbolsLike,
     targets: Sequence[SymbolsLike],
@@ -201,15 +195,8 @@ def _scan_item(
             raise InvalidArgumentError(
                 f"source and target lengths differ: {src.size} != {tgts[-1].size}"
             )
-    if not _is_int(lag_max):
-        raise InvalidArgumentError(f"lag must be an integer: got {lag_max!r}")
-    if lag_max < 1:
-        raise InvalidArgumentError(f"lag must be >= 1: got {lag_max}")
-    if lag_max > src.size - 2:
-        raise InvalidArgumentError(
-            f"lag {lag_max} needs series longer than {lag_max + 1}: "
-            f"got length {src.size}"
-        )
+    # a lag needs series longer than lag + 1
+    _check_int(lag_max, "lag", 1, src.size - 2)
     return src, tgts, np.arange(lag_min, lag_max + 1)
 
 
@@ -457,10 +444,7 @@ def effective_transfer_entropy(
     (ete, te, shuffle_mean) : tuple of float
         ``ete == te - shuffle_mean`` exactly.
     """
-    if not _is_int(shuffles) or shuffles < 1:
-        raise InvalidArgumentError(
-            f"shuffles must be an integer >= 1: got {shuffles!r}"
-        )
+    _check_int(shuffles, "shuffles", 1)
     _check_rng(rng)
     ((scan,),) = _scan_draw([_scan_item(source, [target], u, u)], shuffles, rng)
     te, shuffle_mean = float(scan[0, 0]), float(scan[0, 1:].mean())
@@ -504,6 +488,7 @@ def best_lags_shared(
     out, draws = [], {}  # draws: (length, lag count, shuffles) -> item indices
     for source, targets, config in items:
         try:
+            _check_config(config)
             scan = _scan_item(source, targets, config.lag_min, config.lag_max)
         except LagTEError as exc:
             out.append(exc)

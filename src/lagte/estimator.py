@@ -59,6 +59,10 @@ from .core import (
     TAG_SHUFFLE,
     TAG_SOURCE_BOOT,
     TAG_TARGET_BOOT,
+    _check_config,
+    _check_int,
+    _check_level,
+    _check_window,
     derive_replicate_rng,
     functionals,
     lemma1_interval,
@@ -277,7 +281,9 @@ def _pool(workers: Optional[int]):
     call made inside another public call's pool reuses it, and the
     outermost call opens ``workers - 1`` processes, beside the caller.
     """
-    if workers is None or workers <= 1:
+    if workers is not None:
+        _check_int(workers, "workers", 1)
+    if workers is None or workers == 1:
         yield None
     elif _ACTIVE_POOL.get() is not None:
         yield _ACTIVE_POOL.get()
@@ -339,7 +345,9 @@ def estimate_delays(
     Jobs share fits, walks and surrogates as the module docstring says;
     series count as the same when they are the same object.  A failed fit
     is kept, so it raises and warns once and fails every job that needs
-    it.  Repeated jobs share one outcome.
+    it.  Repeated jobs share one outcome.  A ``level`` outside (0, 1)
+    fails the call before any fit; a config that is no ``PipelineConfig``
+    fails its own job.
 
     Returns
     -------
@@ -348,6 +356,7 @@ def estimate_delays(
         source, target, config, return_details=True)`` returns it, or the
         ``LagTEError`` that call would raise.
     """
+    _check_level(level)
     results: list = [None] * len(jobs)
     fits = {}  # (id of a caller's series, trend_order, residual_states) -> fit
 
@@ -367,6 +376,7 @@ def estimate_delays(
     groups = {}
     for i, (source, target, config) in enumerate(jobs):
         try:
+            _check_config(config)
             src = _as_series(source, "source")
             tgt = _as_series(target, "target")
             if len(src) != len(tgt):
@@ -491,14 +501,18 @@ def grid_search(
     """
     if len(length_grid) == 0 or len(window_grid) == 0:
         raise InvalidArgumentError("length and window grids must be nonempty")
+    _check_config(base_config, "base_config")
     src = _as_series(source, "source")
     tgt = _as_series(target, "target")
 
     cells = []  # (cell, its config or the InvalidArgumentError it failed with)
     for length in length_grid:
         for window in window_grid:
-            cell = (int(length), window if window == FULL_WINDOW else int(window))
+            cell = (length, window)
             try:
+                _check_int(length, "length", 1)
+                _check_window(window)
+                cell = (int(length), window if window == FULL_WINDOW else int(window))
                 if length > len(src) or length > len(tgt):
                     raise InvalidArgumentError(
                         f"length {length} exceeds available samples "

@@ -17,7 +17,6 @@ Turns raw detector exports into delay estimates along congestion paths:
 import csv
 import json
 import math
-import numbers
 from dataclasses import dataclass, fields
 from datetime import datetime, timedelta
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
@@ -32,7 +31,10 @@ from .core import (
     ParseError,
     PipelineConfig,
     SpeedSeries,
-    _is_int,
+    _check_config,
+    _check_int,
+    _check_number,
+    _is_real,
 )
 # estimate_delay is no longer called here, but it stays a module attribute:
 # perfbench/tracing.py wraps it by this name
@@ -88,13 +90,20 @@ class RoadNetworkInput:
 
     def __post_init__(self):
         object.__setattr__(self, "series", dict(self.series))
-        road, when = self.incident
+        try:
+            road, when = self.incident
+        except (TypeError, ValueError):
+            when = None
         if not isinstance(when, datetime):
-            raise InvalidArgumentError("incident time must be a datetime")
+            raise InvalidArgumentError(
+                f"incident must be a (road, datetime) pair: got {self.incident!r}"
+            )
+        paths = [self.paths] if isinstance(self.paths, str) else list(self.paths)
+        if any(isinstance(p, str) for p in paths):
+            raise InvalidArgumentError("each path must be a sequence of road ids")
         object.__setattr__(self, "incident", (str(road), when))
-        object.__setattr__(
-            self, "paths", tuple(tuple(str(r) for r in p) for p in self.paths)
-        )
+        paths = tuple(tuple(str(r) for r in p) for p in paths)
+        object.__setattr__(self, "paths", paths)
         if road not in self.series:
             raise DataError(f"incident road {road!r} has no series")
         for path in self.paths:
@@ -196,7 +205,7 @@ def load_speed_csv(
         Duplicate ``(timestamp, road_id)`` pair, non-monotone or off-grid
         timestamps, over-long gap, or no data rows.
     """
-    _check_max_gap(max_gap_minutes)
+    _check_number(max_gap_minutes, "max_gap_minutes", 0)
     rows: Dict[str, list] = {}  # road -> [(minute, speed, line, datetime)]
     # raw timestamp -> (datetime, minute); every road repeats each stamp.  A
     # stamp's minute counts whole minutes from the first data row's stamp,
@@ -270,18 +279,6 @@ def load_speed_csv(
     return out
 
 
-def _check_max_gap(value, name: str = "max_gap_minutes") -> None:
-    """Reject a gap limit that is not a finite real number >= 0."""
-    if (
-        not isinstance(value, numbers.Real)
-        or isinstance(value, bool)
-        or not 0 <= value < math.inf
-    ):
-        raise InvalidArgumentError(
-            f"{name} must be a finite number >= 0: got {value!r}"
-        )
-
-
 def _fill_road(road, speeds, lines, times, max_gap_minutes) -> tuple:
     """One road's samples on its 1-minute grid, interior gaps filled by
     linear interpolation, and its ``(first_missing_time, n_missing)`` gaps.
@@ -345,9 +342,13 @@ def extract_incident_window(
         both), incident off the sampling grid, or coverage falling short
         of the window on either side (the message names the shortfall).
     InvalidArgumentError
-        An extent that is negative, not finite, or not a whole number of
-        samples.
+        An incident time that is no datetime, or an extent that is no real
+        number, negative, not finite, or not a whole number of samples.
     """
+    if not isinstance(incident_time, datetime):
+        raise InvalidArgumentError(
+            f"incident time must be a datetime: got {incident_time!r}"
+        )
     if series.start_time is None:
         raise DataError("series has no start time; cannot locate the incident")
     if _awareness(incident_time) != _awareness(series.start_time):
@@ -357,7 +358,8 @@ def extract_incident_window(
             f"{series.start_time.isoformat()} of {series.label or 'series'} "
             f"is {_awareness(series.start_time)}; they cannot be compared"
         )
-    if not all(0 <= e < math.inf for e in (before_minutes, after_minutes)):
+    extents = (before_minutes, after_minutes)
+    if not all(_is_real(e) and 0 <= e < math.inf for e in extents):
         raise InvalidArgumentError(
             f"window extents must be finite and nonnegative: got before "
             f"{before_minutes!r}, after {after_minutes!r} min"
@@ -442,16 +444,19 @@ def analyze_paths(
     estimates the delay from the incident road into the path's ``k``-th
     downstream road; with ``consecutive=True`` the source is the previous
     road on the path instead.  A failing hop records its error in the
-    report and analysis continues.
+    report and analysis continues; a ``max_hops``, ``config`` or extent of
+    the wrong type fails the call with ``InvalidArgumentError``.
 
     All hops are jobs of one ``estimate_delays`` call, so hops from one
     source road share its work and ``workers > 1`` starts one process
     pool.  Every hop's result equals its own ``estimate_delay``.
     """
-    if not _is_int(max_hops) or max_hops < 0:
-        raise InvalidArgumentError(
-            f"max_hops must be an integer >= 0: got {max_hops!r}"
-        )
+    _check_int(max_hops, "max_hops", 0)
+    _check_config(config)
+    for extent in (before_minutes, after_minutes):
+        # an extent out of range fails each hop; one of the wrong type, the call
+        if not _is_real(extent):
+            raise InvalidArgumentError(f"window extents must be real: got {extent!r}")
     _, incident_time = network.incident
     windows: Dict[str, Union[SpeedSeries, LagTEError]] = {}
 

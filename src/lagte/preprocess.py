@@ -27,12 +27,12 @@ matrix*: row ``t`` holds the window ending at ``t``, left-padded while the
 warm-up lasts (``W = min(w, L)``, or ``L`` for ``"full"``).  ``nonlinear``
 sorts the ``+inf``-padded rows and reads its quartiles with numpy's linear
 percentile rule; ``minmax`` takes the row maxima of the ``-inf``-padded
-rows.  ``zscore`` reduces the unpadded full-width rows and loops over the
-``W - 1`` warm-up steps only, since a padded mean or standard deviation
-would sum in another order.  All three equal the per-step computation bit
-for bit.  ``normalize`` and ``encode_fixed`` also take a 2-D block with
-one series per row and stack the rows' window matrices, so a block of
-bootstrap replicates is coded in one call.
+rows.  ``zscore`` reduces the full-width rows, block by block, and loops
+over the ``W - 1`` warm-up steps only, since a padded mean or standard
+deviation would sum in another order.  All three equal the per-step
+computation bit for bit.  ``normalize`` and ``encode_fixed`` also take a
+2-D block with one series per row and stack the rows' window matrices, so
+a block of bootstrap replicates is coded in one call.
 """
 
 from __future__ import annotations
@@ -50,7 +50,10 @@ from .core import (
     InvalidArgumentError,
     NORM_METHODS,
     SpeedSeries,
-    _is_int,
+    _as_cutoffs,
+    _as_floats,
+    _check_int,
+    _check_window,
 )
 
 _CDF_FLOOR = np.nextafter(0.0, 1.0)
@@ -153,15 +156,8 @@ def decompose(series: Union[SpeedSeries, Sequence[float]], m: int) -> Decomposit
     -------
     Decomposition
     """
-    values = series.values if isinstance(series, SpeedSeries) else np.asarray(
-        series, dtype=float
-    )
-    if values.size == 0:
-        raise InvalidArgumentError("cannot decompose an empty series")
-    if not _is_int(m) or m < 1:
-        raise InvalidArgumentError(
-            f"moving-average order must be an integer >= 1: got {m!r}"
-        )
+    values = _as_floats(series, "series", finite=True)
+    _check_int(m, "moving-average order", 1)
 
     l = values.size
     cs = np.concatenate(([0.0], np.cumsum(values)))
@@ -269,21 +265,12 @@ def normalize(
     numpy.ndarray
         Normalized values, same shape as the input.
     """
-    values = np.asarray(series, dtype=float)
-    if values.ndim not in (1, 2):
-        raise InvalidArgumentError(
-            f"need a series or a 2-d block of series: got {values.ndim} dimensions"
-        )
-    if values.size == 0:
-        raise InvalidArgumentError("cannot normalize an empty series")
+    values = _as_floats(series, "series", ndims=(1, 2))
     if method not in NORM_METHODS:
         raise InvalidArgumentError(
             f"method must be one of {NORM_METHODS}: got {method!r}"
         )
-    if w != FULL_WINDOW and (not _is_int(w) or w < 1):
-        raise InvalidArgumentError(
-            f"window must be a positive integer or {FULL_WINDOW!r}: got {w!r}"
-        )
+    _check_window(w)
 
     if method == "none":
         return values.copy()
@@ -313,17 +300,19 @@ def normalize(
             np.divide(block, top, out=out, where=top != 0.0)
     else:  # zscore
         # a padded mean/std would sum in another order, so only the steps
-        # past the warm-up, whose windows are full, are reduced at once
+        # past the warm-up, whose windows are full, are reduced by blocks
         width = _window_width(w, block.shape[1])
         for t in range(width - 1):
             window = block[:, : t + 1]
             sd = window.std(axis=1)
             centered = block[:, t] - window.mean(axis=1)
             np.divide(centered, sd, out=out[:, t], where=sd != 0.0)
-        windows = sliding_window_view(block, width, axis=1)
-        sd = windows.std(axis=2)
-        centered = block[:, width - 1 :] - windows.mean(axis=2)
-        np.divide(centered, sd, out=out[:, width - 1 :], where=sd != 0.0)
+        for rows, cols, windows in _window_blocks(block, w, 0.0):
+            full = slice(max(cols.start, width - 1), cols.stop)
+            windows = windows[:, full.start - cols.start :]
+            sd = windows.std(axis=2)
+            centered = block[rows, full] - windows.mean(axis=2)
+            np.divide(centered, sd, out=out[rows, full], where=sd != 0.0)
     return out.reshape(values.shape)
 
 
@@ -348,25 +337,13 @@ def encode(
     -------
     SymbolSeries
     """
-    values = np.asarray(series, dtype=float)
-    if values.ndim != 1:
-        raise InvalidArgumentError("encode takes one 1-d series")
-    if values.size == 0:
-        raise InvalidArgumentError("cannot encode an empty series")
-    if np.isnan(values).any():
-        # NaN bounds would collapse every bin and blame low variance
-        raise InvalidArgumentError("cannot encode a series containing NaN")
-    if n < 2:
-        raise InvalidArgumentError(f"need at least 2 bins: got {n}")
-    probs = np.asarray(quantile_probs, dtype=float)
-    if probs.size != n - 1:
-        raise InvalidArgumentError(
-            f"need n-1={n - 1} quantile probabilities: got {probs.size}"
-        )
-    if np.any(probs <= 0.0) or np.any(probs >= 1.0) or np.any(np.diff(probs) <= 0.0):
-        raise InvalidArgumentError(
-            "quantile probabilities must be strictly increasing within (0, 1)"
-        )
+    values = _as_floats(series, "series")
+    if not np.isfinite(values).all():
+        # NaN bounds, and the NaN of inf - inf, would collapse every bin and
+        # blame low variance
+        raise InvalidArgumentError("cannot encode a series containing NaN or inf")
+    _check_int(n, "n", 2)
+    probs = _as_cutoffs(quantile_probs, "quantile_probs", n - 1, probs=True)
 
     bounds = np.quantile(values, probs)
     unique_bounds = np.unique(bounds)
@@ -406,21 +383,11 @@ def encode_fixed(series: Sequence[float], bounds: Sequence[float]) -> SymbolSeri
     SymbolSeries
         With ``symbols`` of the input's shape.
     """
-    values = np.asarray(series, dtype=float)
-    if values.ndim not in (1, 2):
-        raise InvalidArgumentError(
-            f"need a series or a 2-d block of series: got {values.ndim} dimensions"
-        )
-    if values.size == 0:
-        raise InvalidArgumentError("cannot encode an empty series")
+    values = _as_floats(series, "series", ndims=(1, 2))
     if np.isnan(values).any():
         # searchsorted sorts NaN past every bound, into the top symbol
         raise InvalidArgumentError("cannot encode a series containing NaN")
-    cuts = np.asarray(bounds, dtype=float)
-    if cuts.size == 0:
-        raise InvalidArgumentError("need at least one bin bound")
-    if np.any(np.diff(cuts) <= 0.0):
-        raise InvalidArgumentError("bin bounds must be strictly increasing")
+    cuts = _as_cutoffs(bounds, "bounds")
     return SymbolSeries(
         symbols=_assign_symbols(values, cuts), n=int(cuts.size + 1), bounds=cuts.copy()
     )

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence, Tuple
@@ -25,7 +24,11 @@ from .core import (
     PipelineConfig,
     SpeedSeries,
     TAG_SIMULATION,
-    _is_int,
+    _MAX_SEED,
+    _as_floats,
+    _check_config,
+    _check_int,
+    _check_number,
     derive_replicate_rng,
 )
 from .estimator import _pool, estimate_delay
@@ -67,21 +70,10 @@ class SimSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not _is_int(self.u0) or self.u0 < 1:
-            raise InvalidArgumentError(f"u0 must be an integer >= 1: got {self.u0!r}")
-        if not 0 <= self.noise_sigma < math.inf:
-            raise InvalidArgumentError(
-                f"noise_sigma must be finite and >= 0: got {self.noise_sigma!r}"
-            )
-        if not _is_int(self.length) or self.length <= self.u0 + 10:
-            raise InvalidArgumentError(
-                f"length must be an integer > u0 + 10 = {self.u0 + 10}: "
-                f"got {self.length!r}"
-            )
-        if not _is_int(self.seed) or self.seed < 0:
-            raise InvalidArgumentError(
-                f"seed must be an integer >= 0: got {self.seed!r}"
-            )
+        _check_int(self.u0, "u0", 1)
+        _check_number(self.noise_sigma, "noise_sigma", 0)
+        _check_int(self.length, "length", self.u0 + 11)
+        _check_int(self.seed, "seed", 0, _MAX_SEED)
 
 
 def generate_pair(spec: SimSpec) -> Tuple[SpeedSeries, SpeedSeries]:
@@ -130,10 +122,8 @@ def generate_pair(spec: SimSpec) -> Tuple[SpeedSeries, SpeedSeries]:
 
 def mae(lags: Sequence[int], u0: int) -> float:
     """Mean absolute error of estimated lags against the true delay."""
-    arr = np.asarray(lags, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise InvalidArgumentError("lags must be a nonempty 1-d sequence")
-    return float(np.mean(np.abs(arr - u0)))
+    arr = _as_floats(lags, "lags", finite=True)
+    return float(np.mean(np.abs(arr - _check_number(u0, "u0", 0))))
 
 
 def _mean_std(values: Sequence[float]) -> Tuple[float, float]:
@@ -206,22 +196,6 @@ class BatchReport:
                 handle.write(text)
         return text
 
-    def format_table(self) -> str:
-        """Human-readable fixed-width rendering of the cell table."""
-        header = (
-            f"{'u0':>4} {'noise':>6} {'method':>10} {'window':>7} "
-            f"{'sigma_hat':>16} {'MAE':>16}"
-        )
-        lines = [header, "-" * len(header)]
-        for cell in self.cells:
-            sig = f"{cell.mean_sigma_hat:.3f} ({cell.std_sigma_hat:.3f})"
-            err = f"{cell.mean_mae:.3f} ({cell.std_mae:.3f})"
-            lines.append(
-                f"{cell.u0:>4} {cell.noise_sigma:>6g} {cell.method:>10} "
-                f"{str(cell.window):>7} {sig:>16} {err:>16}"
-            )
-        return "\n".join(lines)
-
 
 def _pair_seed(base_seed: int, lag_index: int, noise_index: int, rep: int) -> int:
     """Derive the data seed of one batch replicate.
@@ -261,10 +235,12 @@ def run_batch(
     """
     if min(len(lags), len(noises), len(methods), len(windows)) == 0:
         raise InvalidArgumentError("all batch grids must be nonempty")
-    if not _is_int(replicates) or replicates < 1:
-        raise InvalidArgumentError(
-            f"replicates must be an integer >= 1: got {replicates!r}"
-        )
+    _check_int(replicates, "replicates", 1)
+    _check_config(base_config, "base_config")
+    for u0 in lags:
+        _check_int(u0, "u0", 1)
+    for noise in noises:
+        _check_number(noise, "noise_sigma", 0)
 
     cells = []
     with _pool(workers):

@@ -1,5 +1,6 @@
 """Trend removal, window normalization, and symbol encoding."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -232,6 +233,29 @@ class TestNormalize:
                     for row, out in zip(block, got):
                         want = normalize_reference(row, method, w)
                         assert out.tobytes() == want.tobytes()
+
+    def test_zscore_block_larger_than_one_window_batch(self, monkeypatch):
+        # batches that start inside the warm-up, at its end and past it
+        block = np.random.default_rng(6).normal(size=(7, 90))
+        for cap in (1, 7, 64, 500, 1 << 17):
+            monkeypatch.setattr(preprocess, "_BLOCK_ELEMS", cap)
+            for w in (1, 3, 20, FULL_WINDOW):
+                got = normalize(block, "zscore", w)
+                for row, out in zip(block, got):
+                    want = normalize_reference(row, "zscore", w)
+                    assert out.tobytes() == want.tobytes()
+
+    def test_zscore_holds_a_few_blocks(self):
+        # the full windows of a 10 x 1440 block at w=720, as one
+        # (rows, L - w + 1, w) array, would take 42 MB
+        block = np.random.default_rng(0).normal(size=(10, 1440))
+        tracemalloc.start()
+        try:
+            normalize(block, "zscore", 720)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * preprocess._BLOCK_ELEMS * 8
 
     def test_rejects_three_dimensions(self):
         with pytest.raises(InvalidArgumentError, match="dimensions"):
