@@ -114,6 +114,12 @@ def _check_level(level) -> None:
         raise InvalidArgumentError(f"level must be a number in (0, 1): got {level!r}")
 
 
+def _check_workers(workers) -> None:
+    # a process count, the caller included; None runs serially
+    if workers is not None:
+        _check_int(workers, "workers", 1)
+
+
 def _check_rng(rng) -> None:
     if not isinstance(rng, np.random.Generator):
         raise InvalidArgumentError(

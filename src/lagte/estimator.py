@@ -29,8 +29,10 @@ and shuffle counts); every config still gets the bytes of its own scan,
 and one that fails its scan fails alone.  ``workers`` counts the calling
 process: a call splits every group's replicates into up to ``workers``
 interleaved shares, one block per group each; the caller runs share 0,
-and each other share is one task for the pool that serves the outermost
-public call.  Serial is the one-share case.
+and each other share is one task for the process's kept pool.  The first
+multi-worker call opens that pool, later calls reuse it, a call that needs
+more processes replaces it, and it closes when the interpreter exits.
+Serial is the one-share case.
 
 Grid search evaluates the pipeline over candidate observation lengths and
 normalization windows and picks the cell with the smallest variance ratio,
@@ -40,9 +42,10 @@ the configuration under which the delay estimate is most stable.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
-from contextvars import ContextVar
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
 
@@ -63,6 +66,7 @@ from .core import (
     _check_int,
     _check_level,
     _check_window,
+    _check_workers,
     derive_replicate_rng,
     functionals,
     lemma1_interval,
@@ -267,33 +271,55 @@ def _run_replicates(
     ]
 
 
-# The pool of the outermost public call in progress in this thread, if any.
-_ACTIVE_POOL: ContextVar[Optional[ProcessPoolExecutor]] = ContextVar(
-    "lagte_active_pool", default=None
-)
+# The process pool that every multi-worker call in this process shares, with
+# its process count; None until the first such call.
+_POOL: Optional[Tuple[ProcessPoolExecutor, int]] = None
+# Held to get, replace or submit to the pool, so that no thread submits into a
+# pool that another thread has just shut down.
+_POOL_LOCK = threading.Lock()
 
 
-@contextmanager
-def _pool(workers: Optional[int]):
-    """Yield the process pool that serves a public call, or None to run serially.
+def _close_pool() -> None:
+    """Shut the kept pool down and forget it.  Call with ``_POOL_LOCK`` held."""
+    global _POOL
+    if _POOL is not None:
+        _POOL[0].shutdown()
+        _POOL = None
 
-    ``workers`` None or 1 runs serially and starts nothing.  Otherwise a
-    call made inside another public call's pool reuses it, and the
-    outermost call opens ``workers - 1`` processes, beside the caller.
+
+def _forget_pool() -> None:
+    # a forked child owns neither its parent's pool nor a lock that another
+    # of the parent's threads may have held at the fork
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # absent where there is no fork
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _submit_shares(runs, parts: int) -> list:
+    """Submit shares 1 .. ``parts - 1`` of ``runs`` to the kept pool, one task
+    each; their futures.
+
+    The first call opens the pool with ``parts - 1`` processes, and later
+    calls reuse it.  A call that needs more processes than it has, or finds
+    it broken, replaces it.  ``concurrent.futures`` closes it at exit.
     """
-    if workers is not None:
-        _check_int(workers, "workers", 1)
-    if workers is None or workers == 1:
-        yield None
-    elif _ACTIVE_POOL.get() is not None:
-        yield _ACTIVE_POOL.get()
-    else:
-        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
-            token = _ACTIVE_POOL.set(pool)
+    global _POOL
+
+    def submit():
+        return [_POOL[0].submit(_run_share, runs, k, parts) for k in range(1, parts)]
+
+    with _POOL_LOCK:
+        if _POOL is not None and _POOL[1] >= parts - 1:
             try:
-                yield pool
-            finally:
-                _ACTIVE_POOL.reset(token)
+                return submit()
+            except BrokenProcessPool:
+                pass
+        _close_pool()
+        _POOL = (ProcessPoolExecutor(parts - 1), parts - 1)
+        return submit()
 
 
 def _run_share(groups, part: int, parts: int) -> list:
@@ -303,6 +329,22 @@ def _run_share(groups, part: int, parts: int) -> list:
         _run_replicates(*group, range(group[2][0].boot_reps)[part::parts])
         for group in groups
     ]
+
+
+def _run_shares(runs, parts: int) -> list:
+    """``_run_share`` of each of ``parts`` shares of ``runs``, in order.
+
+    The caller runs share 0 and the kept pool the others.  Shares whose pool
+    breaks are submitted once more, to a fresh pool.
+    """
+    if parts == 1:
+        return [_run_share(runs, 0, 1)]
+    futures = _submit_shares(runs, parts)
+    shares = [_run_share(runs, 0, parts)]
+    try:
+        return shares + [f.result() for f in futures]
+    except BrokenProcessPool:
+        return shares + [f.result() for f in _submit_shares(runs, parts)]
 
 
 def _gather_replicates(shares, reps: int, level: float) -> list:
@@ -345,9 +387,10 @@ def estimate_delays(
     Jobs share fits, walks and surrogates as the module docstring says;
     series count as the same when they are the same object.  A failed fit
     is kept, so it raises and warns once and fails every job that needs
-    it.  Repeated jobs share one outcome.  A ``level`` outside (0, 1)
-    fails the call before any fit; a config that is no ``PipelineConfig``
-    fails its own job.
+    it.  Repeated jobs share one outcome.  A ``level`` outside (0, 1) or a
+    bad ``workers`` fails the call before any fit; a job that is no
+    ``(source, target, config)`` triple, or whose config is no
+    ``PipelineConfig``, fails alone.
 
     Returns
     -------
@@ -357,6 +400,7 @@ def estimate_delays(
         ``LagTEError`` that call would raise.
     """
     _check_level(level)
+    _check_workers(workers)
     results: list = [None] * len(jobs)
     fits = {}  # (id of a caller's series, trend_order, residual_states) -> fit
 
@@ -374,8 +418,14 @@ def estimate_delays(
     # group key -> (source fit, {id(target): (index, fit)}, {config: index},
     #               {(config index, target index): job indices})
     groups = {}
-    for i, (source, target, config) in enumerate(jobs):
+    for i, job in enumerate(jobs):
         try:
+            try:
+                source, target, config = job
+            except (TypeError, ValueError):
+                raise InvalidArgumentError(
+                    f"a job must be a (source, target, config) triple: got {job!r}"
+                ) from None
             _check_config(config)
             src = _as_series(source, "source")
             tgt = _as_series(target, "target")
@@ -404,12 +454,9 @@ def estimate_delays(
         (src_fit, tuple(t for _, t in targets.values()), tuple(configs), tuple(members))
         for src_fit, targets, configs, members in groups.values()
     ]
-    with _pool(workers) as pool:
-        # at most one share per replicate of the largest group: none is empty
-        reps = max((key[-1] for key in groups), default=1)
-        parts = 1 if pool is None else min(workers, reps)
-        futures = [pool.submit(_run_share, runs, k, parts) for k in range(1, parts)]
-        shares = [_run_share(runs, 0, parts)] + [f.result() for f in futures]
+    # at most one share per replicate of the largest group: none is empty
+    reps = max((key[-1] for key in groups), default=1)
+    shares = _run_shares(runs, min(workers or 1, reps))
     for g, (key, (*_, members)) in enumerate(groups.items()):
         outcomes = _gather_replicates([s[g] for s in shares], key[-1], level)
         for job_indices, outcome in zip(members.values(), outcomes):
@@ -439,8 +486,8 @@ def estimate_delay(
     workers : int, optional
         Process count for replicate evaluation, the calling process
         included.  ``None`` or 1 runs serially; results are identical
-        either way.  A call made inside another public call, such as
-        ``run_batch``, shares its pool.
+        either way.  The other processes come from the pool that every
+        multi-worker call in this process reuses.
     level : float
         Confidence level of the reported interval.
     return_details : bool
@@ -484,9 +531,8 @@ def grid_search(
     length_grid : sequence of int
     window_grid : sequence of int or "full"
     workers : int, optional
-        Process count, the calling process included; with more than one,
-        every cell shares one process pool.  Results are identical either
-        way.
+        Process count, the calling process included, as for
+        ``estimate_delay``.  Results are identical either way.
     estimate_fn : callable, optional
         Replacement for the cell evaluator with the same signature as
         ``estimate_delay(source, target, config, workers=...)``, called
@@ -502,6 +548,7 @@ def grid_search(
     if len(length_grid) == 0 or len(window_grid) == 0:
         raise InvalidArgumentError("length and window grids must be nonempty")
     _check_config(base_config, "base_config")
+    _check_workers(workers)
     src = _as_series(source, "source")
     tgt = _as_series(target, "target")
 
@@ -525,33 +572,32 @@ def grid_search(
             cells.append((cell, config))
 
     grid, scores, samples, skipped = [], [], [], []
-    with _pool(workers):
-        if estimate_fn is None:
-            valid = [(cell, c) for cell, c in cells if isinstance(c, PipelineConfig)]
-            lengths = {cell[0] for cell, _ in valid}
-            tails = {n: (src.tail(n), tgt.tail(n)) for n in lengths}
-            outcomes = iter(
-                estimate_delays([(*tails[cell[0]], c) for cell, c in valid], workers)
-            )
-        for cell, config in cells:
-            try:
-                if isinstance(config, InvalidArgumentError):
-                    raise config
-                if estimate_fn is None:
-                    outcome = next(outcomes)
-                    if isinstance(outcome, LagTEError):
-                        raise outcome
-                    sample = outcome[0]
-                else:
-                    sample = estimate_fn(
-                        src.tail(cell[0]), tgt.tail(cell[0]), config, workers=workers
-                    )
-            except InvalidArgumentError as exc:
-                skipped.append((cell, str(exc)))
-                continue
-            grid.append(cell)
-            scores.append(sample.sigma2_hat / sample.n_reps)
-            samples.append(sample)
+    if estimate_fn is None:
+        valid = [(cell, c) for cell, c in cells if isinstance(c, PipelineConfig)]
+        lengths = {cell[0] for cell, _ in valid}
+        tails = {n: (src.tail(n), tgt.tail(n)) for n in lengths}
+        outcomes = iter(
+            estimate_delays([(*tails[cell[0]], c) for cell, c in valid], workers)
+        )
+    for cell, config in cells:
+        try:
+            if isinstance(config, InvalidArgumentError):
+                raise config
+            if estimate_fn is None:
+                outcome = next(outcomes)
+                if isinstance(outcome, LagTEError):
+                    raise outcome
+                sample = outcome[0]
+            else:
+                sample = estimate_fn(
+                    src.tail(cell[0]), tgt.tail(cell[0]), config, workers=workers
+                )
+        except InvalidArgumentError as exc:
+            skipped.append((cell, str(exc)))
+            continue
+        grid.append(cell)
+        scores.append(sample.sigma2_hat / sample.n_reps)
+        samples.append(sample)
 
     if not grid:
         reasons = "; ".join(f"{c}: {r}" for c, r in skipped)

@@ -407,6 +407,8 @@ def extract_incident_window(
 
 def uniform_lag_variance(lag_min: int, lag_max: int) -> float:
     """Variance of a uniform draw over the integer lags in [lag_min, lag_max]."""
+    _check_int(lag_min, "lag_min", 1)
+    _check_int(lag_max, "lag_max", lag_min)
     k = lag_max - lag_min + 1
     return (k * k - 1) / 12.0
 
@@ -421,6 +423,13 @@ def hop_causality_flag(
     replicate achieved positive effective transfer entropy at its winning
     lag (a flat profile with nothing to locate).
     """
+    if not isinstance(sample, LagSample):
+        raise InvalidArgumentError(f"sample must be a LagSample: got {sample!r}")
+    if not (details is None or isinstance(details, EstimateDetails)):
+        raise InvalidArgumentError(
+            f"details must be None or EstimateDetails: got {details!r}"
+        )
+    _check_config(config)
     threshold = DISPERSION_FRACTION * uniform_lag_variance(
         config.lag_min, config.lag_max
     )
@@ -448,8 +457,9 @@ def analyze_paths(
     the wrong type fails the call with ``InvalidArgumentError``.
 
     All hops are jobs of one ``estimate_delays`` call, so hops from one
-    source road share its work and ``workers > 1`` starts one process
-    pool.  Every hop's result equals its own ``estimate_delay``.
+    source road share its work, and ``workers`` counts processes as for
+    ``estimate_delay``.  Every hop's result equals its own
+    ``estimate_delay``.
     """
     _check_int(max_hops, "max_hops", 0)
     _check_config(config)

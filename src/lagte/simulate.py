@@ -29,9 +29,10 @@ from .core import (
     _check_config,
     _check_int,
     _check_number,
+    _check_workers,
     derive_replicate_rng,
 )
-from .estimator import _pool, estimate_delay
+from .estimator import estimate_delay
 
 __all__ = [
     "SimSpec",
@@ -226,8 +227,9 @@ def run_batch(
     each one; the cell aggregates the mean and standard deviation of the
     per-pair bootstrap spread ``sigma_hat`` and of the per-pair MAE.  Data
     seeds depend only on (lag, noise, replicate), so cells differing only
-    in method or window are evaluated on identical data.  With more than
-    one worker, every estimate shares one process pool.
+    in method or window are evaluated on identical data.  ``workers``
+    counts processes as for ``estimate_delay``, whose kept pool serves
+    every estimate.
 
     Returns
     -------
@@ -237,47 +239,47 @@ def run_batch(
         raise InvalidArgumentError("all batch grids must be nonempty")
     _check_int(replicates, "replicates", 1)
     _check_config(base_config, "base_config")
+    _check_workers(workers)
     for u0 in lags:
         _check_int(u0, "u0", 1)
     for noise in noises:
         _check_number(noise, "noise_sigma", 0)
 
     cells = []
-    with _pool(workers):
-        for (li, u0), (ni, noise) in product(enumerate(lags), enumerate(noises)):
-            pair_cache = {}
+    for (li, u0), (ni, noise) in product(enumerate(lags), enumerate(noises)):
+        pair_cache = {}
+        for rep in range(replicates):
+            seed = _pair_seed(base_config.seed, li, ni, rep)
+            spec = SimSpec(
+                u0=int(u0), noise_sigma=float(noise), length=length, seed=seed
+            )
+            pair_cache[rep] = (generate_pair(spec), seed)
+        for method, window in product(methods, windows):
+            sigma_hats, maes, failures = [], [], []
             for rep in range(replicates):
-                seed = _pair_seed(base_config.seed, li, ni, rep)
-                spec = SimSpec(
-                    u0=int(u0), noise_sigma=float(noise), length=length, seed=seed
-                )
-                pair_cache[rep] = (generate_pair(spec), seed)
-            for method, window in product(methods, windows):
-                sigma_hats, maes, failures = [], [], []
-                for rep in range(replicates):
-                    (src, tgt), seed = pair_cache[rep]
-                    try:
-                        config = base_config.with_overrides(
-                            norm_method=method, window=window, seed=seed
-                        )
-                        sample = estimate_delay(src, tgt, config, workers=workers)
-                    except InvalidArgumentError as exc:
-                        failures.append(f"replicate {rep}: {exc}")
-                        continue
-                    sigma_hats.append(np.sqrt(sample.sigma2_hat))
-                    maes.append(mae(sample.lags, int(u0)))
-                cells.append(
-                    BatchCell(
-                        int(u0),
-                        float(noise),
-                        method,
-                        window,
-                        len(sigma_hats),
-                        *_mean_std(sigma_hats),
-                        *_mean_std(maes),
-                        tuple(failures),
+                (src, tgt), seed = pair_cache[rep]
+                try:
+                    config = base_config.with_overrides(
+                        norm_method=method, window=window, seed=seed
                     )
+                    sample = estimate_delay(src, tgt, config, workers=workers)
+                except InvalidArgumentError as exc:
+                    failures.append(f"replicate {rep}: {exc}")
+                    continue
+                sigma_hats.append(np.sqrt(sample.sigma2_hat))
+                maes.append(mae(sample.lags, int(u0)))
+            cells.append(
+                BatchCell(
+                    int(u0),
+                    float(noise),
+                    method,
+                    window,
+                    len(sigma_hats),
+                    *_mean_std(sigma_hats),
+                    *_mean_std(maes),
+                    tuple(failures),
                 )
+            )
     return BatchReport(
         cells=tuple(cells), config=base_config, replicates=replicates
     )

@@ -33,6 +33,21 @@ def sim_pair():
     return generate_pair(SimSpec(u0=10, noise_sigma=1.0, length=120, seed=0))
 
 
+@pytest.fixture(autouse=True)
+def fresh_pool():
+    """Close and forget lagte's kept process pool before and after each test,
+    so that a test's pool processes fork after its own monkeypatches."""
+    from lagte import estimator
+
+    def close():
+        with estimator._POOL_LOCK:
+            estimator._close_pool()
+
+    close()
+    yield
+    close()
+
+
 @pytest.fixture
 def pool_starts(monkeypatch):
     """Record the worker count of every process pool lagte starts in a test."""

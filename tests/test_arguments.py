@@ -40,6 +40,7 @@ from lagte import (
 )
 from lagte import estimator
 from lagte.core import derive_replicate_rng
+from lagte.network import hop_causality_flag, uniform_lag_variance
 from lagte.simulate import mae
 
 X = np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0, 5.0, 3.0, 5.0, 8.0])
@@ -83,8 +84,15 @@ def _estimate(**kwargs):
     return estimate_delay(*_pair(), config, **kwargs)
 
 
-def _grid(lengths):
-    return grid_search(*_pair(), _config(), lengths, [10])
+def _grid(lengths, workers=None):
+    return grid_search(*_pair(), _config(), lengths, [10], workers=workers)
+
+
+def _job(job):
+    # a malformed job fails alone: raise its outcome, once the good one passed
+    good, bad = estimator.estimate_delays([(*_pair(), _config()), job])
+    assert isinstance(good[0], LagSample)
+    raise bad
 
 
 BAD_CALLS = {
@@ -128,6 +136,12 @@ BAD_CALLS = {
     "estimate-workers-zero": lambda: _estimate(workers=0),
     "estimate-workers-negative": lambda: _estimate(workers=-3),
     "estimate-config": lambda: _estimate(config=None),
+    "estimate_delays-short-job": lambda: _job(_pair()),
+    "estimate_delays-job-none": lambda: _job(None),
+    "grid-workers": lambda: _grid([40], workers=0),
+    "run_batch-workers": lambda: run_batch(
+        [10], [1.0], ["none"], [20], 1, _config(), workers=0
+    ),
     "best_lag-config": lambda: best_lag(
         [1, 2, 1, 2, 1, 2, 1, 2], [2, 1, 2, 1, 2, 1, 2, 1], None,
         np.random.default_rng(0),
@@ -143,6 +157,12 @@ BAD_CALLS = {
     "sample_bootstrap_series-rng": lambda: _walk(rng=None),
     "RoadNetworkInput-incident": lambda: RoadNetworkInput(_roads(), "a", (("A", "B"),)),
     "RoadNetworkInput-paths": lambda: RoadNetworkInput(_roads(), ("A", INCIDENT), "A"),
+    "uniform_lag_variance-string": lambda: uniform_lag_variance("a", 3),
+    "uniform_lag_variance-order": lambda: uniform_lag_variance(5, 3),
+    "hop_causality_flag-sample": lambda: hop_causality_flag(None, None, _config()),
+    "hop_causality_flag-config": lambda: hop_causality_flag(
+        LagSample.from_lags([1, 2]), None, None
+    ),
 }
 
 
@@ -166,6 +186,21 @@ def test_bad_level_fails_before_any_fit(monkeypatch):
     monkeypatch.setattr(estimator, "_fit", no_fit)
     with pytest.raises(InvalidArgumentError, match="level"):
         estimator.estimate_delays([(*_pair(), _config())], level=2.0)
+
+
+@pytest.mark.parametrize("workers", [-3, 0, 2.5, "2"])
+def test_bad_workers_fail_before_any_fit(monkeypatch, workers):
+    fits = []
+    fit = estimator._fit
+
+    def counting_fit(*args):
+        fits.append(args)
+        return fit(*args)
+
+    monkeypatch.setattr(estimator, "_fit", counting_fit)
+    with pytest.raises(InvalidArgumentError, match="workers"):
+        estimate_delay(*_pair(), _config(), workers=workers)
+    assert fits == []
 
 
 def test_bad_config_fails_its_own_job():

@@ -1,6 +1,15 @@
 """Bootstrap delay estimation, summary functionals, and grid search."""
 
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +19,14 @@ from lagte import (
     InvalidArgumentError,
     LagSample,
     LagTEError,
+    RoadNetworkInput,
     SpeedSeries,
+    analyze_paths,
     estimate_delay,
     functionals,
     grid_search,
     lemma1_interval,
+    run_batch,
 )
 from lagte.core import FULL_WINDOW, TAG_SHUFFLE, TAG_SOURCE_BOOT, TAG_TARGET_BOOT
 from lagte import estimator
@@ -443,6 +455,109 @@ class TestOnePoolPerCall:
         estimate_delay(*sim_pair, config)
         grid_search(*sim_pair, config, [80, 120], [20], workers=1)
         assert pool_starts == []
+
+
+class TestKeptPool:
+    """Every multi-worker call in a process shares one kept pool."""
+
+    def test_reused_across_calls(self, sim_pair, pool_starts):
+        source, target = sim_pair
+        config = fast_config(boot_reps=4, shuffle_reps=3)
+        t0 = datetime(2024, 3, 1, 5)
+        roads = {
+            "A": SpeedSeries(source.values, label="A", start_time=t0),
+            "B": SpeedSeries(target.values, label="B", start_time=t0),
+        }
+        incident = ("A", t0 + timedelta(minutes=30))
+        net = RoadNetworkInput(roads, incident, (("A", "B"),))
+        estimate_delay(source, target, config, workers=2)
+        grid_search(source, target, config, [80, 120], [20], workers=2)
+        analyze_paths(net, config, workers=2, before_minutes=30, after_minutes=90)
+        run_batch([5], [1.0], ["none"], [20], 2, config, workers=2)
+        assert pool_starts == [1]
+
+    def test_grows_only_when_asked_for_more(self, sim_pair, pool_starts):
+        config = fast_config(boot_reps=4, shuffle_reps=3)
+        estimate_delay(*sim_pair, config, workers=2)
+        assert pool_starts == [1]
+        estimate_delay(*sim_pair, config, workers=3)
+        assert pool_starts == [1, 2]
+        estimate_delay(*sim_pair, config, workers=2)
+        estimate_delay(*sim_pair, config, workers=3)
+        assert pool_starts == [1, 2]
+
+    def test_repeated_calls_agree(self, sim_pair):
+        config = fast_config(boot_reps=5, shuffle_reps=3)
+        want = estimate_delay(*sim_pair, config, return_details=True)
+        for workers in (2, 3, 1, 3, 2, 1):
+            got = estimate_delay(*sim_pair, config, workers, return_details=True)
+            assert got == want
+
+    def test_threads_share_it(self, sim_pair, pool_starts):
+        config = fast_config(boot_reps=4, shuffle_reps=3)
+        want = estimate_delay(*sim_pair, config)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as threads:
+                futures = [
+                    threads.submit(estimate_delay, *sim_pair, config, workers)
+                    for workers in (2, 3) * 4
+                ]
+                got = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want] * 8
+        # one pool at a time: opened once, and grown at most once
+        assert pool_starts in ([1, 2], [2])
+
+    @pytest.mark.parametrize("pause", [0.0, 0.5])
+    def test_recovers_from_a_killed_process(self, sim_pair, pool_starts, pause):
+        config = fast_config(boot_reps=4, shuffle_reps=3)
+        want = estimate_delay(*sim_pair, config)
+        assert estimate_delay(*sim_pair, config, workers=2) == want
+        (child,) = multiprocessing.active_children()
+        os.kill(child.pid, signal.SIGKILL)
+        time.sleep(pause)  # long enough, or not, for the pool to see it broken
+        assert estimate_delay(*sim_pair, config, workers=2) == want
+        assert pool_starts == [1, 1]
+        assert estimate_delay(*sim_pair, config, workers=2) == want
+        assert pool_starts == [1, 1]
+
+    def test_forked_child_sees_no_pool(self, sim_pair):
+        estimate_delay(*sim_pair, fast_config(boot_reps=2), workers=2)
+        assert estimator._POOL is not None
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if estimator._POOL is None else 2
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_closed_at_exit(self):
+        script = (
+            "import multiprocessing\n"
+            "from lagte import PipelineConfig, SimSpec, estimate_delay, generate_pair\n"
+            "pair = generate_pair(SimSpec(u0=5, length=60))\n"
+            "config = PipelineConfig(boot_reps=4, shuffle_reps=2, lag_max=8)\n"
+            "estimate_delay(*pair, config, workers=2)\n"
+            "print(*[p.pid for p in multiprocessing.active_children()])\n"
+        )
+        src = str(Path(estimator.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        pids = [int(p) for p in done.stdout.split()]
+        assert len(pids) == 1
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 class TestShares:
