@@ -31,8 +31,14 @@ process: a call splits every group's replicates into up to ``workers``
 interleaved shares, one block per group each; the caller runs share 0,
 and each other share is one task for the process's kept pool.  The first
 multi-worker call opens that pool, later calls reuse it, a call that needs
-more processes replaces it, and it closes when the interpreter exits.
-Serial is the one-share case.
+more processes or finds it broken replaces it, and it closes when the
+interpreter exits; a pool process also exits once its parent is gone, so a
+killed caller leaves none behind.  The pool processes copy the caller's
+modules when the pool opens: a later change to module state in the caller,
+such as a patched function or constant, does not reach them until the pool
+is replaced.  A call whose pool breaks while it runs raises
+``BrokenProcessPool``; the next call opens a fresh pool.  Serial is the
+one-share case.
 
 Grid search evaluates the pipeline over candidate observation lengths and
 normalization windows and picks the cell with the smallest variance ratio,
@@ -44,6 +50,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -298,15 +305,35 @@ if hasattr(os, "register_at_fork"):  # absent where there is no fork
     os.register_at_fork(after_in_child=_forget_pool)
 
 
+def _exit_with_parent() -> None:
+    """Pool process initializer: end this process once its parent is gone.
+
+    A pool process waits for tasks and would outlive a parent that was
+    killed without closing the pool; a watcher thread sees the parent
+    change and exits.
+    """
+    parent = os.getppid()
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def _submit_shares(runs, parts: int) -> list:
     """Submit shares 1 .. ``parts - 1`` of ``runs`` to the kept pool, one task
     each; their futures.
 
-    The first call opens the pool with ``parts - 1`` processes, and later
-    calls reuse it.  A call that needs more processes than it has, or finds
-    it broken, replaces it.  ``concurrent.futures`` closes it at exit.
+    The first call that has a share to submit opens the pool with
+    ``parts - 1`` processes, and later calls reuse it.  A call that needs
+    more processes than it has, or finds it broken, replaces it.
+    ``concurrent.futures`` closes it at exit.
     """
     global _POOL
+    if parts == 1:
+        return []
 
     def submit():
         return [_POOL[0].submit(_run_share, runs, k, parts) for k in range(1, parts)]
@@ -318,7 +345,8 @@ def _submit_shares(runs, parts: int) -> list:
             except BrokenProcessPool:
                 pass
         _close_pool()
-        _POOL = (ProcessPoolExecutor(parts - 1), parts - 1)
+        pool = ProcessPoolExecutor(parts - 1, initializer=_exit_with_parent)
+        _POOL = (pool, parts - 1)
         return submit()
 
 
@@ -329,22 +357,6 @@ def _run_share(groups, part: int, parts: int) -> list:
         _run_replicates(*group, range(group[2][0].boot_reps)[part::parts])
         for group in groups
     ]
-
-
-def _run_shares(runs, parts: int) -> list:
-    """``_run_share`` of each of ``parts`` shares of ``runs``, in order.
-
-    The caller runs share 0 and the kept pool the others.  Shares whose pool
-    breaks are submitted once more, to a fresh pool.
-    """
-    if parts == 1:
-        return [_run_share(runs, 0, 1)]
-    futures = _submit_shares(runs, parts)
-    shares = [_run_share(runs, 0, parts)]
-    try:
-        return shares + [f.result() for f in futures]
-    except BrokenProcessPool:
-        return shares + [f.result() for f in _submit_shares(runs, parts)]
 
 
 def _gather_replicates(shares, reps: int, level: float) -> list:
@@ -456,7 +468,9 @@ def estimate_delays(
     ]
     # at most one share per replicate of the largest group: none is empty
     reps = max((key[-1] for key in groups), default=1)
-    shares = _run_shares(runs, min(workers or 1, reps))
+    parts = min(workers or 1, reps)
+    futures = _submit_shares(runs, parts)
+    shares = [_run_share(runs, 0, parts)] + [f.result() for f in futures]
     for g, (key, (*_, members)) in enumerate(groups.items()):
         outcomes = _gather_replicates([s[g] for s in shares], key[-1], level)
         for job_indices, outcome in zip(members.values(), outcomes):

@@ -8,6 +8,7 @@ import sys
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -457,6 +458,28 @@ class TestOnePoolPerCall:
         assert pool_starts == []
 
 
+def _share_that_kills_its_process(groups, part, parts):
+    if part:
+        os._exit(1)
+    return _RUN_SHARE(groups, part, parts)
+
+
+_RUN_SHARE = estimator._run_share
+
+
+def _read_probe():
+    return getattr(estimator, "_probe", None)
+
+
+def _is_running(pid):
+    """Whether ``pid`` is a process that has not exited; a zombie has."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 class TestKeptPool:
     """Every multi-worker call in a process shares one kept pool."""
 
@@ -511,18 +534,65 @@ class TestKeptPool:
         # one pool at a time: opened once, and grown at most once
         assert pool_starts in ([1, 2], [2])
 
-    @pytest.mark.parametrize("pause", [0.0, 0.5])
-    def test_recovers_from_a_killed_process(self, sim_pair, pool_starts, pause):
+    def test_recovers_from_a_killed_process(self, sim_pair, pool_starts):
         config = fast_config(boot_reps=4, shuffle_reps=3)
         want = estimate_delay(*sim_pair, config)
         assert estimate_delay(*sim_pair, config, workers=2) == want
         (child,) = multiprocessing.active_children()
         os.kill(child.pid, signal.SIGKILL)
-        time.sleep(pause)  # long enough, or not, for the pool to see it broken
+        with pytest.raises(BrokenProcessPool):  # wait until the pool sees it
+            estimator._POOL[0].submit(int).result(timeout=60)
         assert estimate_delay(*sim_pair, config, workers=2) == want
         assert pool_starts == [1, 1]
         assert estimate_delay(*sim_pair, config, workers=2) == want
         assert pool_starts == [1, 1]
+
+    def test_a_call_whose_pool_breaks_raises(self, sim_pair, pool_starts, monkeypatch):
+        config = fast_config(boot_reps=4, shuffle_reps=3)
+        want = estimate_delay(*sim_pair, config)
+        monkeypatch.setattr(estimator, "_run_share", _share_that_kills_its_process)
+        with pytest.raises(BrokenProcessPool):
+            estimate_delay(*sim_pair, config, workers=2)
+        monkeypatch.undo()
+        assert estimate_delay(*sim_pair, config, workers=2) == want
+
+    def test_processes_keep_the_state_they_opened_with(self, sim_pair, monkeypatch):
+        estimate_delay(*sim_pair, fast_config(boot_reps=2), workers=2)
+        monkeypatch.setattr(estimator, "_probe", "set later", raising=False)
+        assert estimator._POOL[0].submit(_read_probe).result(timeout=60) is None
+        with estimator._POOL_LOCK:
+            estimator._close_pool()
+        estimate_delay(*sim_pair, fast_config(boot_reps=2), workers=2)
+        assert estimator._POOL[0].submit(_read_probe).result(timeout=60) == "set later"
+
+    def test_processes_exit_when_their_parent_is_killed(self):
+        script = (
+            "import multiprocessing, sys, time\n"
+            "from lagte import PipelineConfig, SimSpec, estimate_delay, generate_pair\n"
+            "pair = generate_pair(SimSpec(u0=5, length=60))\n"
+            "config = PipelineConfig(boot_reps=4, shuffle_reps=2, lag_max=8)\n"
+            "estimate_delay(*pair, config, workers=3)\n"
+            "print(*[p.pid for p in multiprocessing.active_children()], flush=True)\n"
+            "time.sleep(120)\n"
+        )
+        src = str(Path(estimator.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        parent = subprocess.Popen(
+            [sys.executable, "-c", script], env=env, stdout=subprocess.PIPE, text=True
+        )
+        try:
+            pids = [int(p) for p in parent.stdout.readline().split()]
+        finally:
+            parent.kill()
+            parent.wait(timeout=60)
+            parent.stdout.close()
+        assert len(pids) == 2
+        deadline = time.monotonic() + 30
+        alive = pids
+        while alive and time.monotonic() < deadline:
+            time.sleep(0.1)
+            alive = [pid for pid in alive if _is_running(pid)]
+        assert alive == []
 
     def test_forked_child_sees_no_pool(self, sim_pair):
         estimate_delay(*sim_pair, fast_config(boot_reps=2), workers=2)
