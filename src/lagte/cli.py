@@ -16,8 +16,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from dataclasses import fields
+from typing import Optional, Sequence
 
 from .core import (
     FULL_WINDOW,
@@ -39,7 +39,7 @@ from .network import (
 )
 from .simulate import SimSpec, generate_pair, mae, run_batch
 
-__all__ = ["CliInvocation", "main", "build_parser"]
+__all__ = ["main", "build_parser"]
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -47,30 +47,8 @@ EXIT_USAGE = 2
 
 SEED_ENV_VAR = "LAGTE_SEED"
 
-CONFIG_FLAG_FIELDS = (
-    "trend_order",
-    "window",
-    "residual_states",
-    "encode_bins",
-    "encode_quantiles",
-    "boot_reps",
-    "shuffle_reps",
-    "lag_min",
-    "lag_max",
-    "norm_method",
-    "seed",
-)
-
-
-@dataclass(frozen=True)
-class CliInvocation:
-    """A parsed run: subcommand, resolved configuration, and I/O options."""
-
-    subcommand: str
-    config: PipelineConfig
-    threads: Optional[int]
-    verbose: bool
-    args: argparse.Namespace
+# each PipelineConfig field is the destination of one configuration flag
+CONFIG_FLAG_FIELDS = tuple(f.name for f in fields(PipelineConfig))
 
 
 def _parse_window(text: str):
@@ -181,39 +159,45 @@ def _provenance_comment(config: PipelineConfig) -> str:
     return "# config " + json.dumps(config_to_dict(config), separators=(",", ":"))
 
 
-def _write_histogram_csv(path, sample: LagSample, config: PipelineConfig) -> None:
-    lines = [_provenance_comment(config), "lag,count"]
-    for lag, count in sample.histogram(config.lag_min, config.lag_max):
-        lines.append(f"{lag},{count}")
+def _write_out(path, text: str, what: str) -> None:
+    """Write an ``--out`` file as UTF-8, newlines as given, and say so."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
+    print(f"{what} written to {path}")
 
 
-def _print_sample(sample: LagSample) -> None:
+def _print_sample(
+    sample: LagSample, config: PipelineConfig, verbose: bool, **more
+) -> None:
+    """Print a sample's summary, then ``name=value`` for each of ``more``,
+    then with ``verbose`` its histogram."""
     print(f"mu_hat={sample.mu_hat!r}")
     print(f"sigma2_hat={sample.sigma2_hat!r}")
     print(f"stderr={sample.stderr!r}")
     print(f"ci95=({sample.ci95[0]!r}, {sample.ci95[1]!r})")
+    for name, value in more.items():
+        print(f"{name}={value!r}")
+    if verbose:
+        for lag, count in sample.histogram(config.lag_min, config.lag_max):
+            print(f"lag {lag}: {count}")
 
 
-def cmd_simulate(inv: CliInvocation) -> int:
-    args = inv.args
+def cmd_simulate(args, config: PipelineConfig, threads: int) -> int:
     spec = SimSpec(
         u0=args.u0,
         noise_sigma=args.noise,
         length=args.length,
-        seed=inv.config.seed,
+        seed=config.seed,
     )
     source, target = generate_pair(spec)
-    sample = estimate_delay(source, target, inv.config, workers=inv.threads)
-    _print_sample(sample)
-    print(f"mae={mae(sample.lags, args.u0)!r}")
-    if inv.verbose:
-        for lag, count in sample.histogram(inv.config.lag_min, inv.config.lag_max):
-            print(f"lag {lag}: {count}")
+    sample = estimate_delay(source, target, config, workers=threads)
+    _print_sample(sample, config, args.verbose, mae=mae(sample.lags, args.u0))
     if args.out is not None:
-        _write_histogram_csv(args.out, sample, inv.config)
-        print(f"histogram written to {args.out}")
+        rows = sample.histogram(config.lag_min, config.lag_max)
+        text = "".join(f"{lag},{count}\n" for lag, count in rows)
+        _write_out(
+            args.out, f"{_provenance_comment(config)}\nlag,count\n{text}", "histogram"
+        )
     return EXIT_OK
 
 
@@ -236,40 +220,32 @@ def _load_pair(args: argparse.Namespace):
     return series[args.source], series[args.target]
 
 
-def cmd_estimate(inv: CliInvocation) -> int:
-    args = inv.args
+def cmd_estimate(args, config: PipelineConfig, threads: int) -> int:
     source, target = _load_pair(args)
-    sample = estimate_delay(source, target, inv.config, workers=inv.threads)
-    _print_sample(sample)
-    if inv.verbose:
-        for lag, count in sample.histogram(inv.config.lag_min, inv.config.lag_max):
-            print(f"lag {lag}: {count}")
+    sample = estimate_delay(source, target, config, workers=threads)
+    _print_sample(sample, config, args.verbose)
     if args.out is not None:
         payload = {
             "format": "delay-estimate",
             "version": 1,
-            "config": config_to_dict(inv.config),
+            "config": config_to_dict(config),
             "source": args.source,
             "target": args.target,
             "sample": sample.to_dict(),
         }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        print(f"estimate written to {args.out}")
+        _write_out(args.out, json.dumps(payload, indent=2) + "\n", "estimate")
     return EXIT_OK
 
 
-def cmd_grid_search(inv: CliInvocation) -> int:
-    args = inv.args
+def cmd_grid_search(args, config: PipelineConfig, threads: int) -> int:
     source, target = _load_pair(args)
     result = grid_search(
         source,
         target,
-        inv.config,
+        config,
         args.lengths,
         args.windows,
-        workers=inv.threads,
+        workers=threads,
     )
     for (length, window), score in zip(result.grid, result.scores):
         print(f"length={length} window={window} score={score!r}")
@@ -280,7 +256,7 @@ def cmd_grid_search(inv: CliInvocation) -> int:
         payload = {
             "format": "grid-search",
             "version": 1,
-            "config": config_to_dict(inv.config),
+            "config": config_to_dict(config),
             "grid": [
                 {
                     "length": length,
@@ -298,26 +274,22 @@ def cmd_grid_search(inv: CliInvocation) -> int:
                 for (length, window), reason in result.skipped
             ],
         }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        print(f"grid written to {args.out}")
+        _write_out(args.out, json.dumps(payload, indent=2) + "\n", "grid")
     return EXIT_OK
 
 
-def cmd_batch_sim(inv: CliInvocation) -> int:
-    args = inv.args
-    methods = args.methods if args.methods else [inv.config.norm_method]
-    windows = args.windows if args.windows else [inv.config.window]
+def cmd_batch_sim(args, config: PipelineConfig, threads: int) -> int:
+    methods = args.methods if args.methods else [config.norm_method]
+    windows = args.windows if args.windows else [config.window]
     report = run_batch(
         args.lags,
         args.noises,
         methods,
         windows,
         args.replicates,
-        inv.config,
+        config,
         length=args.length,
-        workers=inv.threads,
+        workers=threads,
     )
     for cell in report.cells:
         print(
@@ -325,27 +297,24 @@ def cmd_batch_sim(inv: CliInvocation) -> int:
             f"window={cell.window}: mean_sigma_hat={cell.mean_sigma_hat!r} "
             f"mean_mae={cell.mean_mae!r} failures={len(cell.failures)}"
         )
-        if inv.verbose:
+        if args.verbose:
             for failure in cell.failures:
                 print(f"  failure: {failure}")
     if args.out is not None:
-        text = _provenance_comment(inv.config) + "\n" + report.to_csv()
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        print(f"batch table written to {args.out}")
+        text = _provenance_comment(config) + "\n" + report.to_csv()
+        _write_out(args.out, text, "batch table")
     return EXIT_OK
 
 
-def cmd_path_analyze(inv: CliInvocation) -> int:
-    args = inv.args
+def cmd_path_analyze(args, config: PipelineConfig, threads: int) -> int:
     series = _load_series(args)
     road, when, paths = load_path_spec(args.paths)
     network = RoadNetworkInput(series=series, incident=(road, when), paths=paths)
     reports = analyze_paths(
         network,
-        inv.config,
+        config,
         max_hops=args.max_hops,
-        workers=inv.threads,
+        workers=threads,
         before_minutes=args.before,
         after_minutes=args.after,
         consecutive=args.consecutive,
@@ -364,12 +333,10 @@ def cmd_path_analyze(inv: CliInvocation) -> int:
             )
     text = emit_report(reports, format=args.format, out=None)
     if args.format == "csv":
-        text = _provenance_comment(inv.config) + "\n" + text
+        text = _provenance_comment(config) + "\n" + text
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        print(f"report written to {args.out}")
-    elif inv.verbose:
+        _write_out(args.out, text, "report")
+    elif args.verbose:
         print(text, end="")
     return EXIT_OK
 
@@ -380,6 +347,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Estimate directed time delays between series pairs.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    csv_flags = argparse.ArgumentParser(add_help=False)
+    csv_flags.add_argument("--csv", required=True, help="speed CSV file")
+    csv_flags.add_argument(
+        "--max-gap", type=_parse_max_gap, default=10.0, help="gap limit, minutes"
+    )
+    pair_flags = argparse.ArgumentParser(add_help=False)
+    pair_flags.add_argument("--source", required=True, help="source road id")
+    pair_flags.add_argument("--target", required=True, help="target road id")
 
     p = sub.add_parser("simulate", help="run one synthetic pair study")
     p.add_argument("--u0", type=int, required=True, help="true delay in samples")
@@ -389,23 +364,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.set_defaults(handler=cmd_simulate)
 
-    p = sub.add_parser("estimate", help="estimate one pair from a speed CSV")
-    p.add_argument("--csv", required=True, help="speed CSV file")
-    p.add_argument("--source", required=True, help="source road id")
-    p.add_argument("--target", required=True, help="target road id")
-    p.add_argument(
-        "--max-gap", type=_parse_max_gap, default=10.0, help="gap limit, minutes"
+    p = sub.add_parser(
+        "estimate",
+        parents=[csv_flags, pair_flags],
+        help="estimate one pair from a speed CSV",
     )
     p.add_argument("--out", help="JSON destination")
     _add_config_flags(p)
     p.set_defaults(handler=cmd_estimate)
 
-    p = sub.add_parser("grid-search", help="tune length and window on one pair")
-    p.add_argument("--csv", required=True, help="speed CSV file")
-    p.add_argument("--source", required=True, help="source road id")
-    p.add_argument("--target", required=True, help="target road id")
-    p.add_argument(
-        "--max-gap", type=_parse_max_gap, default=10.0, help="gap limit, minutes"
+    p = sub.add_parser(
+        "grid-search",
+        parents=[csv_flags, pair_flags],
+        help="tune length and window on one pair",
     )
     p.add_argument(
         "--lengths", type=int, nargs="+", required=True, help="lengths to try"
@@ -448,12 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.set_defaults(handler=cmd_batch_sim)
 
-    p = sub.add_parser("path-analyze", help="incident path delay report")
-    p.add_argument("--csv", required=True, help="speed CSV file")
-    p.add_argument("--paths", required=True, help="path-spec JSON file")
-    p.add_argument(
-        "--max-gap", type=_parse_max_gap, default=10.0, help="gap limit, minutes"
+    p = sub.add_parser(
+        "path-analyze", parents=[csv_flags], help="incident path delay report"
     )
+    p.add_argument("--paths", required=True, help="path-spec JSON file")
     p.add_argument(
         "--before", type=float, default=60.0, help="window minutes before incident"
     )
@@ -483,20 +452,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (UsageError, InvalidArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    inv = CliInvocation(
-        subcommand=args.subcommand,
-        config=config,
-        threads=threads,
-        verbose=args.verbose,
-        args=args,
-    )
     _echo_config(config, threads)
     try:
-        return args.handler(inv)
-    except LagTEError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except OSError as exc:
+        return args.handler(args, config, threads)
+    except (LagTEError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -67,6 +67,8 @@ REPORT_VERSION = 1
 DISPERSION_FRACTION = 0.5
 
 _MINUTE = timedelta(minutes=1)
+_MICROSECOND = timedelta(microseconds=1)
+_MINUTE_US = _MINUTE // _MICROSECOND
 
 
 @dataclass(frozen=True)
@@ -189,9 +191,9 @@ def load_speed_csv(
     data error.  Pass a dict as ``gap_report`` to receive, per road with
     gaps, the list of ``(first_missing_time, n_missing)`` spans filled.
 
-    Each distinct timestamp is parsed once.  A road whose samples are one
-    minute apart throughout becomes its series directly; any other road
-    is walked sample by sample to fill and check its gaps.
+    Each distinct timestamp is parsed once, into its offset from the first
+    data row's.  Each road's steps are then checked and its gaps filled in
+    one array pass.
 
     Raises
     ------
@@ -206,11 +208,12 @@ def load_speed_csv(
         timestamps, over-long gap, or no data rows.
     """
     _check_number(max_gap_minutes, "max_gap_minutes", 0)
-    rows: Dict[str, list] = {}  # road -> [(minute, speed, line, datetime)]
-    # raw timestamp -> (datetime, minute); every road repeats each stamp.  A
-    # stamp's minute counts whole minutes from the first data row's stamp,
-    # None when it lies between them.
-    stamps: Dict[str, Tuple[datetime, Optional[int]]] = {}
+    rows: Dict[str, list] = {}  # road -> [(offset, speed, line, datetime)]
+    # raw timestamp -> (datetime, offset); every road repeats each stamp.  A
+    # stamp's offset counts whole microseconds from the first data row's
+    # stamp; any two datetimes are less than 2**63 of them apart, so the
+    # steps between offsets fit in int64.
+    stamps: Dict[str, Tuple[datetime, int]] = {}
     first = None  # the first data row's (datetime, awareness)
     reader = csv.reader(_utf8_lines(path))
     try:
@@ -244,8 +247,7 @@ def load_speed_csv(
                     f"data row's {first[0].isoformat()!r} is {first[1]}",
                     line=lineno,
                 )
-            minute, rest = divmod(ts - first[0], _MINUTE)
-            stamp = stamps[raw_ts] = (ts, None if rest else minute)
+            stamp = stamps[raw_ts] = (ts, (ts - first[0]) // _MICROSECOND)
         if not road:
             raise ParseError("empty road_id", line=lineno)
         try:
@@ -261,64 +263,57 @@ def load_speed_csv(
 
     out: Dict[str, SpeedSeries] = {}
     for road, entries in rows.items():
-        minutes, speeds, lines, times = zip(*entries)
-        start = minutes[0]
-        if (
-            max_gap_minutes >= 1
-            and start is not None
-            and minutes == tuple(range(start, start + len(minutes)))
-        ):
-            grid, gaps = speeds, []  # one sample every minute
-        else:
-            grid, gaps = _fill_road(road, speeds, lines, times, max_gap_minutes)
+        values, gaps = _minute_grid(road, entries, max_gap_minutes)
         if gaps and gap_report is not None:
             gap_report[road] = gaps
         out[road] = SpeedSeries(
-            np.asarray(grid), period=1.0, label=road, start_time=times[0]
+            values, period=1.0, label=road, start_time=entries[0][3]
         )
     return out
 
 
-def _fill_road(road, speeds, lines, times, max_gap_minutes) -> tuple:
-    """One road's samples on its 1-minute grid, interior gaps filled by
+def _minute_grid(road, entries, max_gap_minutes) -> tuple:
+    """One road's speeds on its 1-minute grid, interior gaps filled by
     linear interpolation, and its ``(first_missing_time, n_missing)`` gaps.
 
-    Checks that the samples advance in whole minutes, with no gap above
-    ``max_gap_minutes``.
+    All steps between consecutive samples are checked at once.  The first
+    bad step fails the road, tested as a duplicate, a step back, a step off
+    the minute grid and a gap above ``max_gap_minutes``, in that order.
     """
-    grid = [speeds[0]]
-    gaps = []
-    for prev_ts, prev_v, ts, v, lineno in zip(
-        times, speeds, times[1:], speeds[1:], lines[1:]
+    offsets, speeds, lines, times = zip(*entries)
+    values = np.asarray(speeds)
+    if max_gap_minutes >= 1 and offsets == tuple(
+        range(offsets[0], offsets[-1] + 1, _MINUTE_US)
     ):
-        delta = (ts - prev_ts).total_seconds() / 60.0
-        if delta == 0.0:
+        return values, []  # every step is one minute: nothing to check or fill
+    steps = np.diff(offsets)
+    minutes, rest = np.divmod(steps, _MINUTE_US)
+    bad = np.flatnonzero((steps <= 0) | (rest != 0) | (minutes > max_gap_minutes))
+    if bad.size:
+        i = bad[0]
+        ts, line = times[i + 1].isoformat(), f"(line {lines[i + 1]})"
+        if steps[i] == 0:
+            raise DataError(f"duplicate row for road {road!r} at {ts} {line}")
+        if steps[i] < 0:
+            raise DataError(f"non-monotone timestamps for road {road!r} at {ts} {line}")
+        if rest[i]:
             raise DataError(
-                f"duplicate row for road {road!r} at {ts.isoformat()} "
-                f"(line {lineno})"
+                f"road {road!r} sample at {ts} is off the 1-minute grid {line}"
             )
-        if delta < 0.0:
-            raise DataError(
-                f"non-monotone timestamps for road {road!r} at "
-                f"{ts.isoformat()} (line {lineno})"
-            )
-        if delta != int(delta):
-            raise DataError(
-                f"road {road!r} sample at {ts.isoformat()} is off the "
-                f"1-minute grid (line {lineno})"
-            )
-        step = int(delta)
-        if step > max_gap_minutes:
-            raise DataError(
-                f"road {road!r} has a {step}-minute gap ending at "
-                f"{ts.isoformat()}, above the {max_gap_minutes}-minute limit"
-            )
-        if step > 1:
-            filled = np.linspace(prev_v, v, step + 1)[1:-1]
-            grid.extend(float(x) for x in filled)
-            gaps.append((prev_ts + timedelta(minutes=1), step - 1))
-        grid.append(v)
-    return grid, gaps
+        raise DataError(
+            f"road {road!r} has a {minutes[i]}-minute gap ending at {ts}, "
+            f"above the {max_gap_minutes}-minute limit"
+        )
+    fills = np.flatnonzero(minutes > 1)
+    filled = [
+        np.linspace(speeds[i], speeds[i + 1], minutes[i] + 1)[1:-1] for i in fills
+    ]
+    values = np.insert(
+        values,
+        np.repeat(fills + 1, minutes[fills] - 1),
+        np.concatenate([np.empty(0), *filled]),
+    )
+    return values, [(times[i] + _MINUTE, int(minutes[i]) - 1) for i in fills]
 
 
 def extract_incident_window(

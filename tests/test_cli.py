@@ -1,5 +1,6 @@
 """Command-line interface: flags, exit codes, provenance, reproducibility."""
 
+import hashlib
 import json
 
 import pytest
@@ -239,3 +240,74 @@ class TestPathAnalyzeCommand:
         (hop,) = json.loads(out.read_text())["reports"][0]["hops"]
         assert "finite and nonnegative" in hop["error"]
         assert "finite and nonnegative" in capsys.readouterr().out
+
+
+class TestOutputBytes:
+    """Every command's stdout and output file, pinned by SHA-256 at one
+    worker with ``LAGTE_SEED`` unset; ``<tmp>`` stands for the test's
+    temporary directory in stdout."""
+
+    DIGESTS = {
+        "simulate": (
+            "a9eb964f0c9d3ae084435a0f9803b88ead75d524a38420386f7669c707d3e129",
+            "044382ffd15ad95e82fda9e13f518970526e2e34b621409c977c125468b20869",
+        ),
+        "estimate": (
+            "2cb11703079bfddfbf0b3ec3eb1ab040c98565428fa174d7c71a9d086a54643d",
+            "ac065bf516c19fee0d44768597adf8026a5cd1722fa001d0341bac3b9f4d16b8",
+        ),
+        "grid-search": (
+            "dfc5570f098eaf320d0d95718664b7e509dfd3b545a56064084a321d33b54c61",
+            "5401b0083e0481346ceb8e3aaf1f90c8b747d4dbe9dfc1dd8ee0de05567ffd32",
+        ),
+        "batch-sim": (
+            "eb2c49f8a6691e8ff0180a8636c598b7199bcae3fe308846b288b7881cfd99cf",
+            "6106f3a5ff75671f37858a257c3667ac2401584f395339211971f4b24333b61e",
+        ),
+        "path-analyze-json": (
+            "de9a870c898a91214d94690c362f637d25b2fb13b01e834f02e8ec1d0493c527",
+            "a7920904c9ec7747e0e6fc8bed4bb95a1f4473a62b825273c3667d542f9ca7f1",
+        ),
+        "path-analyze-csv": (
+            "59816828e5e153a7aaa877da51cfa67622926158c36823c5c918f35d89db74ba",
+            None,
+        ),
+    }
+
+    @staticmethod
+    def _invocation(case, tmp_path):
+        if case == "simulate":
+            return ["simulate", "--u0", "10", "-v", "--out"], "hist.csv"
+        if case == "estimate":
+            return ["estimate", "--csv", _gappy_csv(tmp_path), "--source", "A",
+                    "--target", "B", "-v", "--out"], "est.json"
+        if case == "grid-search":
+            return ["grid-search", "--csv", _speed_csv(tmp_path), "--source", "A",
+                    "--target", "B", "--lengths", "60", "80", "--windows", "10",
+                    "full", "--out"], "grid.json"
+        if case == "batch-sim":
+            return ["batch-sim", "--lags", "5", "10", "-R", "2", "--methods",
+                    "none", "nonlinear", "-v", "--out"], "batch.csv"
+        window = ["--paths", _paths_json(tmp_path), "--before", "20", "--after", "40"]
+        if case == "path-analyze-json":
+            return ["path-analyze", "--csv", _gappy_csv(tmp_path)] + window + [
+                "--out"], "report.json"
+        return ["path-analyze", "--csv", _speed_csv(tmp_path), "--format", "csv",
+                "-v"] + window, None
+
+    @pytest.mark.parametrize("case", sorted(DIGESTS))
+    def test_bytes_unchanged(self, tmp_path, capsys, monkeypatch, case):
+        monkeypatch.delenv("LAGTE_SEED", raising=False)
+        args, out_name = self._invocation(case, tmp_path)
+        if out_name is not None:
+            args.append(str(tmp_path / out_name))
+        assert main(args + FAST + ["--threads", "1"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        stdout = captured.out.replace(str(tmp_path), "<tmp>").encode()
+        got = (
+            hashlib.sha256(stdout).hexdigest(),
+            None if out_name is None
+            else hashlib.sha256((tmp_path / out_name).read_bytes()).hexdigest(),
+        )
+        assert got == self.DIGESTS[case]

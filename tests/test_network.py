@@ -336,6 +336,30 @@ class TestLoaderFastPath:
         assert_loads_as_reference(path, limit)
 
 
+class TestLoaderSteps:
+    """A road's first bad step fails the load with the reference loop's
+    message, whatever follows it; good steps fill their gaps."""
+
+    @pytest.mark.parametrize(
+        "minutes",
+        [
+            [0, 1, 1, 0.5],  # duplicate, then a step back
+            [0, 1, 0.5, 0.5],  # a step back, then a duplicate
+            [0, 1.5, 2, 2],  # off the minute grid, then a duplicate
+            [0, 0.25, 30],  # off the minute grid, then a gap too long
+            [0, 12, 13, 13],  # a gap too long, then a duplicate
+            [0, 2, 5, 6, 16],  # gaps of 1, 2 and 9 minutes filled
+        ],
+    )
+    @pytest.mark.parametrize("max_gap", [0.5, 1, 10.0])
+    def test_first_bad_step_fails_the_road(self, tmp_path, minutes, max_gap):
+        t0 = datetime(2024, 3, 1, 5, 0)
+        lines = ["timestamp,road_id,speed_kmh", f"{t0.isoformat()},B,1.0"]
+        for k, m in enumerate(minutes):
+            lines.append(f"{(t0 + timedelta(minutes=m)).isoformat()},A,{50.0 + k}")
+        assert_loads_as_reference(_write(tmp_path, "s.csv", "\n".join(lines)), max_gap)
+
+
 # the fuzzed loaders write one file per example into the test's tmp_path
 FUZZ = settings(
     max_examples=150,
