@@ -15,7 +15,7 @@ from datetime import datetime
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 __all__ = [
     "LagTEError",
@@ -325,10 +325,10 @@ class PipelineConfig:
 
 def _z_value(level: float) -> float:
     # The conventional 1.96 is used for the 95% level; other levels fall back
-    # to the exact normal quantile.
+    # to the exact standard normal quantile, ``ndtri``.
     if level == 0.95:
         return 1.96
-    return float(norm.ppf(0.5 + level / 2.0))
+    return float(ndtri(0.5 + level / 2.0))
 
 
 def functionals(lags: Sequence[int]) -> Tuple[float, float]:

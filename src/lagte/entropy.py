@@ -40,10 +40,22 @@ items into draws by shape, and gives every target exactly what
 ``best_lag`` would give it from the same ``rng`` state.  ``best_lag`` is
 its one-item, one-target case.  Every scan is validated by ``_scan_item``
 and run by ``_scan_draw``.
+
+A scan's largest arrays -- the shuffled index rows, the gathered
+weights, the count tensors and the TE pass's terms, denominators and
+mask -- are views of one workspace per thread (``_scratch``), written
+through ``out=``.  Repeated scans thus reuse the same memory instead of
+asking the allocator for a few hundred kilobytes per block, which glibc
+maps and gives back on every scan unless something the process freed
+before raised its thresholds.  A workspace slot holds the
+``_COUNT_CELLS`` budget and no more, and no view of it leaves the call
+that took it: every array a scan returns is its own.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 from typing import Sequence, Tuple, Union
 
@@ -83,6 +95,9 @@ _EXACT_BITS = 53
 _COUNT_CELLS = 1 << 15
 
 SymbolsLike = Union[SymbolSeries, Sequence[int], np.ndarray]
+
+# Each thread's scan workspace: named flat buffers, see _scratch.
+_WORKSPACE = threading.local()
 
 
 @dataclass(frozen=True)
@@ -200,6 +215,25 @@ def _scan_item(
     return src, tgts, np.arange(lag_min, lag_max + 1)
 
 
+def _scratch(name: str, shape: tuple, dtype=float) -> np.ndarray:
+    """An uninitialized C-order array of ``shape`` in this thread's
+    workspace slot ``name``, valid until the thread asks for ``name`` again.
+
+    A slot holds ``_COUNT_CELLS`` elements of up to 8 bytes and is kept
+    for the life of the thread; only the pages an array touches take
+    memory.  A larger array, which only a lag too large for one block asks
+    for, is a fresh one and is not kept.
+    """
+    size = math.prod(shape)
+    if size > _COUNT_CELLS:
+        return np.empty(shape, dtype)
+    slots = _WORKSPACE.__dict__
+    buf = slots.get(name)
+    if buf is None or buf.size < size:
+        buf = slots[name] = np.empty(_COUNT_CELLS)
+    return np.ndarray(shape, dtype, buf)
+
+
 def _axis_sum(counts: np.ndarray, axis: int) -> np.ndarray:
     """Sum of integer-valued counts over a short axis, one slice add at a time.
 
@@ -230,11 +264,16 @@ def _te_from_counts(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
     d_ab = _axis_sum(c, 3)  # joint of (i_t, i_{t-1})
     m_bc = _axis_sum(c, 1)  # joint of (i_{t-1}, j_{t-u})
     e_b = _axis_sum(m_bc, 2)  # marginal of i_{t-1}
-    mask = c > 0.0
+    mask = np.greater(c, 0.0, out=_scratch("mask", c.shape, bool))
     # c * log2(num / den) on the support, built in one buffer; off the
-    # support c and num are 0, so the terms stay 0
-    terms = c * e_b[:, None, :, None]
-    np.divide(terms, m_bc[:, None, :, :] * d_ab[:, :, :, None], out=terms, where=mask)
+    # support c and num are 0, so the terms stay 0.  The two take the
+    # slots of _scan_draw's index rows and weights, which are free while
+    # a pass runs, so that a scan keeps fewer buffers in cache.
+    terms = np.multiply(c, e_b[:, None, :, None], out=_scratch("index", c.shape))
+    den = np.multiply(
+        m_bc[:, None, :, :], d_ab[:, :, :, None], out=_scratch("weight", c.shape)
+    )
+    np.divide(terms, den, out=terms, where=mask)
     np.log2(terms, out=terms, where=mask)
     terms *= c
     te = terms.sum(axis=(1, 2, 3)) / totals
@@ -244,9 +283,9 @@ def _te_from_counts(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
     return np.maximum(te, 0.0)
 
 
-def _shuffled_rows(length: int, n_lags: int, shuffles: int, rng) -> np.ndarray:
-    """``(n_lags, shuffles + 1, L)`` rows of ``arange(L)``, all but the first
-    of each lag permuted.
+def _shuffled_rows(rows: np.ndarray, rng) -> None:
+    """Fill the ``(n_lags, shuffles + 1, L)`` int64 array ``rows`` with rows
+    of ``arange(L)``, all but the first of each lag permuted.
 
     Within each lag, row 0 is the identity and the rest are permutations,
     drawn lag by lag and surrogate by surrogate from ``rng`` (the same
@@ -255,12 +294,10 @@ def _shuffled_rows(length: int, n_lags: int, shuffles: int, rng) -> np.ndarray:
     lags in consecutive blocks draws what one call for the whole range
     draws.
     """
-    rows = np.empty((n_lags, shuffles + 1, length), dtype=np.int64)
-    rows[:] = np.arange(length)
-    if shuffles:
+    rows[:] = np.arange(rows.shape[2])
+    if rows.shape[1] > 1:
         surrogates = rows[:, 1:]
         rng.permuted(surrogates, axis=2, out=surrogates)
-    return rows
 
 
 def _product_plan(
@@ -322,7 +359,9 @@ def _scan_draw(scans: Sequence[tuple], shuffles: int, rng) -> list:
     exact in any order of summation.  Per symbol, one shift and one mask
     decode the count.  The counts of as many blocks as ``_COUNT_CELLS``
     count cells hold go through one TE pass per ``(n_t, n_s)`` alphabet
-    shape, which spans every scan and target of that shape.
+    shape, which spans every scan and target of that shape.  The index
+    rows, the gathered weights and the counts are views of this thread's
+    workspace, taken once per call.
     """
     n_lags, length = scans[0][2].size, scans[0][0].size
     reps = shuffles + 1
@@ -337,20 +376,26 @@ def _scan_draw(scans: Sequence[tuple], shuffles: int, rng) -> list:
             cols = slice(offset, offset + len(ks) * n_t * n_t)
             passes.setdefault((n_t, n_s), []).append((i, cols, ks))
             offset = cols.stop
-    cells = sum(n_s * onehot.shape[2] for (_, onehot, _), n_s in zip(plans, n_syms))
+    widths = [onehot.shape[2] for _, onehot, _ in plans]  # count columns
+    cells = sum(n_s * k for k, n_s in zip(widths, n_syms))
     step = max(1, _COUNT_CELLS // (reps * max(length, cells)))
     span = step * max(1, _COUNT_CELLS // (reps * cells) // step)
+    index = _scratch("index", (step, reps, length), np.int64)
+    weight = _scratch("weight", (step, reps, length))
+    # each scan's counts of a span, the source symbol innermost, as
+    # _te_from_counts reads them
+    flat, offset, counts = _scratch("counts", (span * reps * cells,)), 0, []
+    for k, n_s in zip(widths, n_syms):
+        size = span * reps * k * n_s
+        counts.append(flat[offset : offset + size].reshape(span, reps, k, n_s))
+        offset += size
     out = [[np.empty((n_lags, reps)) for _ in tgts] for _, tgts, _ in scans]
     for start in range(0, n_lags, span):
         stop = min(start + span, n_lags)
-        # the source symbol innermost, as _te_from_counts reads the counts
-        counts = [
-            np.empty((stop - start, reps, onehot.shape[2], n_s))
-            for (_, onehot, _), n_s in zip(plans, n_syms)
-        ]
         for lo in range(start, stop, step):
             hi = min(lo + step, stop)
-            index = _shuffled_rows(length, hi - lo, shuffles, rng)
+            rows, gathered = index[: hi - lo], weight[: hi - lo]
+            _shuffled_rows(rows, rng)
             for (_, _, lags), (weights, onehot, _), n_s, scan_counts in zip(
                 scans, plans, n_syms, counts
             ):
@@ -358,32 +403,28 @@ def _scan_draw(scans: Sequence[tuple], shuffles: int, rng) -> list:
                 block_counts = scan_counts[lo - start : hi - start]
                 for c in range(n_s):
                     if c % per == 0:
-                        weight = np.take(weights[c // per], index)
-                        packed = np.matmul(weight, block).astype(np.int64)
+                        np.take(weights[c // per], rows, out=gathered, mode="wrap")
+                        packed = np.matmul(gathered, block).astype(np.int64)
                     digit = packed >> (bits * (c % per))
                     np.bitwise_and(digit, (1 << bits) - 1, out=block_counts[..., c])
-        # free the last block's arrays so that the TE pass reuses their
-        # memory: held through the pass, they left so much memory free after
-        # it that glibc gave it back to the system and faulted it in again
-        # for the next pass (about 250 minor faults per default scan)
-        del index, weight, packed, digit
         for (n_t, n_s), members in passes.items():
             # targets innermost: the counts of a scan of one alphabet shape
-            # are its rows without a copy
-            rows = [
-                counts[i][:, :, cols].reshape(-1, n_t, n_t, n_s)
-                for i, cols, _ in members
-            ]
+            # are its rows, without a copy when the pass has only them
+            lots = [counts[i][: stop - start, :, cols] for i, cols, _ in members]
+            sizes = [lot.size // (n_t * n_t * n_s) for lot in lots]
+            ends = np.cumsum(sizes)
+            if len(lots) == 1 and lots[0].flags.c_contiguous:
+                batch = lots[0].reshape(-1, n_t, n_t, n_s)
+            else:
+                batch = _scratch("batch", (ends[-1], n_t, n_t, n_s))
+                for lot, end, size in zip(lots, ends, sizes):
+                    batch[end - size : end].reshape(lot.shape)[...] = lot
             totals = [
                 np.repeat(length - scans[i][2][start:stop], reps * len(ks))
                 for i, _, ks in members
             ]
-            te = _te_from_counts(
-                rows[0] if len(rows) == 1 else np.concatenate(rows),
-                np.concatenate(totals).astype(float),
-            )
-            ends = np.cumsum([len(r) for r in rows])[:-1]
-            for (i, _, ks), part in zip(members, np.split(te, ends)):
+            te = _te_from_counts(batch, np.concatenate(totals).astype(float))
+            for (i, _, ks), part in zip(members, np.split(te, ends[:-1])):
                 part = part.reshape(stop - start, reps, len(ks))
                 for j, k in enumerate(ks):
                     out[i][k][start:stop] = part[:, :, j]

@@ -31,14 +31,14 @@ process: a call splits every group's replicates into up to ``workers``
 interleaved shares, one block per group each; the caller runs share 0,
 and each other share is one task for the process's kept pool.  The first
 multi-worker call opens that pool, later calls reuse it, a call that needs
-more processes or finds it broken replaces it, and it closes when the
-interpreter exits; a pool process also exits once its parent is gone, so a
-killed caller leaves none behind.  The pool processes copy the caller's
-modules when the pool opens: a later change to module state in the caller,
-such as a patched function or constant, does not reach them until the pool
-is replaced.  A call whose pool breaks while it runs raises
-``BrokenProcessPool``; the next call opens a fresh pool.  Serial is the
-one-share case.
+more processes, finds it broken or finds one of its processes dead
+replaces it, and it closes when the interpreter exits; a pool process
+also exits once its parent is gone, so a killed caller leaves none
+behind.  The pool processes copy the caller's modules when the pool opens:
+a later change to module state in the caller, such as a patched function
+or constant, does not reach them until the pool is replaced.  A call
+whose pool breaks while it runs raises ``BrokenProcessPool``; the next
+call opens a fresh pool.  Serial is the one-share case.
 
 Grid search evaluates the pipeline over candidate observation lengths and
 normalization windows and picks the cell with the smallest variance ratio,
@@ -322,14 +322,24 @@ def _exit_with_parent() -> None:
     threading.Thread(target=watch, daemon=True).start()
 
 
+def _processes_alive(pool: ProcessPoolExecutor) -> bool:
+    """Whether every process of ``pool`` is alive.
+
+    The executor marks itself broken only once its manager thread has seen
+    a process die, so work submitted in the moments after an idle process
+    died would still fail with ``BrokenProcessPool``.
+    """
+    return all(p.is_alive() for p in list((pool._processes or {}).values()))
+
+
 def _submit_shares(runs, parts: int) -> list:
     """Submit shares 1 .. ``parts - 1`` of ``runs`` to the kept pool, one task
     each; their futures.
 
     The first call that has a share to submit opens the pool with
     ``parts - 1`` processes, and later calls reuse it.  A call that needs
-    more processes than it has, or finds it broken, replaces it.
-    ``concurrent.futures`` closes it at exit.
+    more processes than it has, finds it broken or finds one of its
+    processes dead replaces it.  ``concurrent.futures`` closes it at exit.
     """
     global _POOL
     if parts == 1:
@@ -339,7 +349,8 @@ def _submit_shares(runs, parts: int) -> list:
         return [_POOL[0].submit(_run_share, runs, k, parts) for k in range(1, parts)]
 
     with _POOL_LOCK:
-        if _POOL is not None and _POOL[1] >= parts - 1:
+        kept = _POOL is not None and _POOL[1] >= parts - 1
+        if kept and _processes_alive(_POOL[0]):
             try:
                 return submit()
             except BrokenProcessPool:

@@ -15,6 +15,8 @@ Turns raw detector exports into delay estimates along congestion paths:
 """
 
 import csv
+import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, fields
@@ -154,6 +156,12 @@ def _awareness(ts: datetime) -> str:
     return "naive" if ts.utcoffset() is None else "tz-aware"
 
 
+def _not_utf8(data: bytes, exc: UnicodeDecodeError) -> ParseError:
+    return ParseError(
+        f"not UTF-8 text: {exc.reason}", line=data.count(b"\n", 0, exc.start) + 1
+    )
+
+
 def _read_utf8(path) -> str:
     """The text of a UTF-8 file; other bytes fail with the line they are on."""
     with open(path, "rb") as fh:
@@ -161,21 +169,36 @@ def _read_utf8(path) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(
-            f"not UTF-8 text: {exc.reason}", line=data.count(b"\n", 0, exc.start) + 1
-        )
+        raise _not_utf8(data, exc)
 
 
 def _utf8_lines(path):
     """Yield a UTF-8 file's lines as ``open(path, newline="")`` does; other
-    bytes fail as in ``_read_utf8``."""
+    bytes fail as in ``_read_utf8``, once every whole line before them has
+    been yielded."""
+    done = 0
     with open(path, "r", encoding="utf-8", newline="") as fh:
         try:
-            yield from fh
+            for line in fh:
+                yield line
+                done += 1
             return
         except UnicodeDecodeError:
-            pass  # the file decodes in chunks, so the error cannot name a line
-    _read_utf8(path)
+            pass
+    # The file decodes in chunks, so the error names no line, and the lines
+    # of the failing chunk before the bad byte were never yielded: decode
+    # the file whole and yield them first, so that a fault on one of them
+    # wins, as it would in a file long enough to span more chunks.
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text, error = data.decode("utf-8"), None
+    except UnicodeDecodeError as exc:
+        text = data[: data.rfind(b"\n", 0, exc.start) + 1].decode("utf-8")
+        error = _not_utf8(data, exc)
+    yield from itertools.islice(io.StringIO(text, newline=""), done, None)
+    if error is not None:
+        raise error
 
 
 def load_speed_csv(

@@ -1,6 +1,10 @@
 """Core types: series container, configuration, lag samples, seeded streams."""
 
+import os
+import subprocess
+import sys
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from lagte.core import (
     FULL_WINDOW,
     TAG_SHUFFLE,
     TAG_SOURCE_BOOT,
+    _z_value,
     derive_replicate_rng,
 )
 
@@ -186,3 +191,40 @@ class TestLagSample:
 
     def test_n_reps(self):
         assert LagSample.from_lags([1, 2, 3]).n_reps == 3
+
+
+class TestNormalQuantile:
+    def test_equals_scipy_norm_ppf_bit_for_bit(self):
+        from scipy.stats import norm
+
+        tiny = [5e-324, 1e-300, 1e-16, 1e-12, 1e-6, 1e-3]
+        levels = np.concatenate(
+            (
+                tiny,
+                np.linspace(0.0, 1.0, 2001)[1:-1],
+                [1.0 - t for t in tiny[2:]],
+                [np.nextafter(1.0, 0.0)],
+            )
+        )
+        for level in levels:
+            if level == 0.95:
+                assert _z_value(level) == 1.96  # the conventional value
+                continue
+            want = np.float64(norm.ppf(0.5 + level / 2.0))
+            assert np.float64(_z_value(level)).tobytes() == want.tobytes(), level
+
+    def test_import_loads_no_scipy_stats(self):
+        # scipy.stats is most of a fresh process's import time and memory
+        script = (
+            "import sys\n"
+            "import lagte, lagte.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"

@@ -1,8 +1,10 @@
 """Entropy measures, lag-specific transfer entropy, and lag selection."""
 
 import math
+import sys
 import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -548,6 +550,92 @@ class TestProductCounts:
             finally:
                 tracemalloc.stop()
             assert peak < 8 * entropy._COUNT_CELLS * 8, (length, n_targets)
+
+
+class TestWorkspace:
+    """A scan's block arrays are views of its thread's workspace, reused
+    from scan to scan; nothing a scan returns is one."""
+
+    @staticmethod
+    def _scans(length, alphabets, seed, n_scans=1):
+        """``n_scans`` scans of 12 lags, one target per target alphabet size."""
+        rng = np.random.default_rng(seed)
+        return [
+            (
+                _as_codes(rng.integers(0, 4, length), "source"),
+                [_as_codes(rng.integers(0, n, length), "target") for n in alphabets],
+                np.arange(1, 13),
+            )
+            for _ in range(n_scans)
+        ]
+
+    @staticmethod
+    def _in_new_thread(fn, *args):
+        with ThreadPoolExecutor(1) as thread:
+            return thread.submit(fn, *args).result(timeout=120)
+
+    def test_results_do_not_alias_it(self):
+        first = _scan_draw(self._scans(120, [4], 0), 20, np.random.default_rng(1))
+        kept = [[scan.copy() for scan in per_target] for per_target in first]
+        # two scans of mixed target alphabets: every slot is written again,
+        # the pass's copy slot too, and the larger shape grows some slots
+        _scan_draw(self._scans(180, [2, 3, 3], 2, 2), 50, np.random.default_rng(3))
+        slots = list(entropy._WORKSPACE.__dict__.values())
+        assert "batch" in entropy._WORKSPACE.__dict__
+        for per_target, per_kept in zip(first, kept):
+            for scan, want in zip(per_target, per_kept):
+                assert scan.tobytes() == want.tobytes()
+                assert not any(np.shares_memory(scan, slot) for slot in slots)
+
+    def test_a_repeated_scan_reuses_it(self):
+        def slots_after_two_scans():
+            scans = self._scans(120, [3, 4], 0)
+            _scan_draw(scans, 50, np.random.default_rng(1))
+            first = dict(entropy._WORKSPACE.__dict__)
+            _scan_draw(scans, 50, np.random.default_rng(2))
+            return first, dict(entropy._WORKSPACE.__dict__)
+
+        first, second = self._in_new_thread(slots_after_two_scans)
+        assert first.keys() == second.keys()
+        assert all(second[name] is buf for name, buf in first.items())
+
+    def test_keeps_nothing_above_the_budget(self, monkeypatch):
+        # at 40 cells one lag alone outgrows every block: each array is
+        # fresh, and no slot holds more than the budget
+        monkeypatch.setattr(entropy, "_COUNT_CELLS", 40)
+        scans = self._scans(60, [3], 0)
+
+        def slot_sizes():
+            got = _scan_draw(scans, 5, np.random.default_rng(1))
+            return got, {n: b.nbytes for n, b in entropy._WORKSPACE.__dict__.items()}
+
+        got, sizes = self._in_new_thread(slot_sizes)
+        assert all(size <= 8 * 40 for size in sizes.values())
+        monkeypatch.undo()
+        want = _scan_draw(scans, 5, np.random.default_rng(1))
+        assert [a.tobytes() for a in got[0]] == [a.tobytes() for a in want[0]]
+
+    def test_threads_scanning_at_once_get_serial_bytes(self):
+        shapes = [self._scans(120, [4], 0), self._scans(180, [2, 3, 3], 1, 2)]
+
+        def scan(k):
+            return [
+                _scan_draw(shapes[k % 2], 50, np.random.default_rng(k))
+                for _ in range(3)
+            ]
+
+        def as_bytes(runs):
+            return [[a.tobytes() for per in run for a in per] for run in runs]
+
+        want = [as_bytes(scan(k)) for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as threads:
+                got = list(threads.map(scan, range(8), timeout=300))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [as_bytes(runs) for runs in got] == want
 
 
 class TestArgumentChecks:

@@ -476,8 +476,19 @@ def _is_running(pid):
     try:
         with open(f"/proc/{pid}/stat") as fh:
             return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
-    except FileNotFoundError:
+    except (FileNotFoundError, ProcessLookupError):  # reaped, maybe while read
         return False
+
+
+def _wait_reapable(pid):
+    """Wait, without reaping it, until the child ``pid`` has exited; a
+    child whose main thread is a zombie may still have threads running."""
+    flags = os.WEXITED | os.WNOHANG | os.WNOWAIT
+    try:
+        while os.waitid(os.P_PID, pid, flags) is None:
+            pass
+    except ChildProcessError:  # reaped already
+        pass
 
 
 class TestKeptPool:
@@ -546,6 +557,25 @@ class TestKeptPool:
         assert pool_starts == [1, 1]
         assert estimate_delay(*sim_pair, config, workers=2) == want
         assert pool_starts == [1, 1]
+
+    def test_replaces_a_pool_whose_idle_process_just_died(self, sim_pair, pool_starts):
+        # the call comes before the executor's manager thread has seen the
+        # death, so the call has to see it
+        config = fast_config(boot_reps=4, shuffle_reps=3)
+        want = estimate_delay(*sim_pair, config)
+        killed = []
+        for run in range(3):
+            assert estimate_delay(*sim_pair, config, workers=2) == want
+            (child,) = multiprocessing.active_children()
+            os.kill(child.pid, signal.SIGKILL)
+            _wait_reapable(child.pid)
+            killed.append(child.pid)
+            assert estimate_delay(*sim_pair, config, workers=2) == want
+        assert pool_starts == [1] * 4
+        with estimator._POOL_LOCK:
+            estimator._close_pool()
+        assert multiprocessing.active_children() == []
+        assert not any(_is_running(pid) for pid in killed)
 
     def test_a_call_whose_pool_breaks_raises(self, sim_pair, pool_starts, monkeypatch):
         config = fast_config(boot_reps=4, shuffle_reps=3)

@@ -472,6 +472,44 @@ class TestLoaderFuzz:
         with pytest.raises(ParseError, match="UTF-8"):
             load_path_spec(str(path))
 
+    @staticmethod
+    def _faulty_csv(rows, bad_speed_first):
+        """A CSV with a bad speed and a non-UTF-8 byte ``rows`` rows apart."""
+        faults = [b"2024-03-01T05:00:00,A,bad\n", b"2024-03-01T05:00:00,A,\xff1\n"]
+        if not bad_speed_first:
+            faults.reverse()
+        middle = b"".join(
+            f"2024-03-01T05:00:00,B{k},1.0\n".encode("ascii") for k in range(rows)
+        )
+        return b"timestamp,road_id,speed_kmh\n" + faults[0] + middle + faults[1]
+
+    @pytest.mark.parametrize("rows", [10, 100_000])
+    def test_first_fault_in_file_order_wins_whatever_the_size(self, tmp_path, rows):
+        # the file decodes in chunks: a small one is one chunk, a large one
+        # many, and the error must not depend on which chunk fails
+        path = tmp_path / "faults.csv"
+        path.write_bytes(self._faulty_csv(rows, bad_speed_first=True))
+        with pytest.raises(ParseError, match="bad speed 'bad'") as err:
+            load_speed_csv(str(path))
+        assert err.value.line == 2
+        path.write_bytes(self._faulty_csv(rows, bad_speed_first=False))
+        with pytest.raises(ParseError, match="UTF-8") as err:
+            load_speed_csv(str(path))
+        assert err.value.line == 2
+
+    def test_lines_before_a_late_bad_byte_are_all_read(self, tmp_path):
+        # every line before the bad byte's line reaches the parser once, in
+        # order, whatever chunk it was decoded in
+        text = road_csv_text({"A": 50.0, "B": 60.0}, 400).replace("\n", "\r\n")
+        path = tmp_path / "late.csv"
+        path.write_bytes(text.encode("ascii") + b"\xff\n")
+        seen = []
+        with pytest.raises(ParseError, match="UTF-8") as err:
+            for line in network._utf8_lines(path):
+                seen.append(line)
+        assert "".join(seen) == text
+        assert err.value.line == text.count("\n") + 1
+
     def test_repeated_tz_mixed_stamp_names_its_first_line(self, tmp_path):
         # the offending stamp repeats; the error names the first line with it
         lines = [
