@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
@@ -320,6 +320,9 @@ class PipelineConfig:
             )
 
     def with_overrides(self, **kwargs) -> "PipelineConfig":
+        unknown = set(kwargs) - {f.name for f in fields(self)}
+        if unknown:
+            raise InvalidArgumentError(f"unknown config fields: {sorted(unknown)}")
         return replace(self, **kwargs)
 
 
@@ -351,6 +354,8 @@ def lemma1_interval(
     ``mu_hat +/- z * sqrt(sigma2_hat / b)`` where ``z`` is the two-sided
     normal quantile for ``level``.
     """
+    if not (_is_real(mu_hat) and math.isfinite(mu_hat)):
+        raise InvalidArgumentError(f"mean must be a finite number: got {mu_hat!r}")
     _check_int(b, "replicate count", 1)
     _check_number(sigma2_hat, "variance", 0)
     _check_level(level)

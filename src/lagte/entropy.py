@@ -42,12 +42,13 @@ its one-item, one-target case.  Every scan is validated by ``_scan_item``
 and run by ``_scan_draw``.
 
 A scan's largest arrays -- the shuffled index rows, the gathered
-weights, the count tensors and the TE pass's terms, denominators and
-mask -- are views of one workspace per thread (``_scratch``), written
-through ``out=``.  Repeated scans thus reuse the same memory instead of
-asking the allocator for a few hundred kilobytes per block, which glibc
-maps and gives back on every scan unless something the process freed
-before raised its thresholds.  A workspace slot holds the
+weights, the count tensors and the TE pass's terms, denominators,
+empty-cell indicators and spread marginals -- are views of one workspace
+per thread (``_scratch``), written through ``out=`` or by assignment.
+Repeated scans thus reuse the same memory instead of asking the
+allocator for a few hundred kilobytes per block, which glibc maps and
+gives back on every scan unless something the process freed before
+raised its thresholds.  A workspace slot holds the
 ``_COUNT_CELLS`` budget and no more, and no view of it leaves the call
 that took it: every array a scan returns is its own.
 """
@@ -257,6 +258,15 @@ def _te_from_counts(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
     ``(i_t, i_{t-1}, j_{t-u})`` and ``totals`` holds the per-batch triple
     count.  Every distribution in the conditional-mutual-information
     identity is a marginal of the same tensor, evaluated in one pass.
+
+    Each cell's term is ``c * log2(q)`` with ``q = c * e_b / (d_ab *
+    m_bc)``, computed with no mask: with ``empty`` the 0/1 indicator of
+    ``c == 0``, the pass evaluates ``q = c * e_b / (d_ab * m_bc + empty)
+    + empty``.  On the support ``c >= 1``, so every marginal and the
+    denominator are at least 1, and adding 0.0 changes no bit.  Off it the
+    denominator is at least 1 and the numerator 0, so ``q`` is exactly 1
+    and the term is ``0 * log2(1) = +0.0``, the zero a masked pass leaves.
+    The sum thus adds the same values in the same order.
     """
     # the sums below run in memory order, so a row's bytes depend on the
     # layout of its cells: evaluate every tensor in C order
@@ -264,17 +274,22 @@ def _te_from_counts(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
     d_ab = _axis_sum(c, 3)  # joint of (i_t, i_{t-1})
     m_bc = _axis_sum(c, 1)  # joint of (i_{t-1}, j_{t-u})
     e_b = _axis_sum(m_bc, 2)  # marginal of i_{t-1}
-    mask = np.greater(c, 0.0, out=_scratch("mask", c.shape, bool))
-    # c * log2(num / den) on the support, built in one buffer; off the
-    # support c and num are 0, so the terms stay 0.  The two take the
-    # slots of _scan_draw's index rows and weights, which are free while
-    # a pass runs, so that a scan keeps fewer buffers in cache.
-    terms = np.multiply(c, e_b[:, None, :, None], out=_scratch("index", c.shape))
-    den = np.multiply(
-        m_bc[:, None, :, :], d_ab[:, :, :, None], out=_scratch("weight", c.shape)
-    )
-    np.divide(terms, den, out=terms, where=mask)
-    np.log2(terms, out=terms, where=mask)
+    empty = np.equal(c, 0.0, out=_scratch("empty", c.shape))
+    # the terms and the denominators take the slots of _scan_draw's index
+    # rows and weights, which are free while a pass runs, so that a scan
+    # keeps fewer buffers in cache; the marginals are spread over the
+    # source axis by assignment, which is much faster than a product that
+    # broadcasts an axis of two or three cells
+    den, spread = _scratch("weight", c.shape), _scratch("spread", m_bc.shape)
+    for k in range(c.shape[3]):
+        den[..., k] = d_ab
+        spread[..., k] = e_b
+    den *= m_bc[:, None]
+    den += empty
+    terms = np.multiply(c, spread[:, None], out=_scratch("index", c.shape))
+    terms /= den
+    terms += empty
+    np.log2(terms, out=terms)
     terms *= c
     te = terms.sum(axis=(1, 2, 3)) / totals
     bad = te < -_NEG_TOL

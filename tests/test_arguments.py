@@ -110,6 +110,7 @@ BAD_CALLS = {
     "mae-u0": lambda: mae([1, 2], "10"),
     "SpeedSeries": lambda: SpeedSeries(["a"]),
     "PipelineConfig-quantiles": lambda: PipelineConfig(encode_quantiles=("a", "b")),
+    "with_overrides-unknown": lambda: PipelineConfig().with_overrides(foo=1),
     "SimSpec-noise": lambda: SimSpec(u0=10, noise_sigma="1"),
     "run_batch-noises": lambda: run_batch([10], ["a"], ["none"], [20], 1, _config()),
     # shapes, counts and values
@@ -125,6 +126,10 @@ BAD_CALLS = {
     "lemma1-b": lambda: lemma1_interval(1.0, 0.5, "3"),
     "lemma1-level": lambda: lemma1_interval(1.0, 0.5, 3, level=2.0),
     "lemma1-nan-variance": lambda: lemma1_interval(1.0, math.nan, 3),
+    "lemma1-mean-string": lambda: lemma1_interval("a", 1.0, 10),
+    "lemma1-mean-none": lambda: lemma1_interval(None, 1.0, 10),
+    "lemma1-mean-nan": lambda: lemma1_interval(math.nan, 1.0, 10),
+    "lemma1-mean-inf": lambda: lemma1_interval(math.inf, 1.0, 10),
     "from_lags-level": lambda: LagSample.from_lags([1, 2, 3], level=2.0),
     "from_lags-string": lambda: LagSample.from_lags(["a"]),
     "from_lags-fraction": lambda: LagSample.from_lags([2.5, 3.5]),
@@ -170,6 +175,11 @@ BAD_CALLS = {
 def test_bad_argument_raises_lagte_error(call):
     with pytest.raises(LagTEError):
         call()
+
+
+def test_unknown_override_fields_are_named():
+    with pytest.raises(InvalidArgumentError, match=r"unknown config fields: \['bar', 'foo'\]"):
+        PipelineConfig().with_overrides(foo=1, bar=2, lag_max=5)
 
 
 def test_bad_grid_lengths_are_skipped_cells():

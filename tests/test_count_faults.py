@@ -11,8 +11,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 # the two workloads whose lag scans faulted thousands of pages per command
-# while each scan took its block arrays from the allocator
-@pytest.mark.parametrize("workload", ["simulate_default", "batch_raw"])
+# while each scan took its block arrays from the allocator, and the one
+# whose six-target TE passes fill the most workspace cells
+@pytest.mark.parametrize("workload", ["simulate_default", "batch_raw", "corridor_paths"])
 def test_commands_do_not_churn_memory(workload):
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "count_faults.py"),

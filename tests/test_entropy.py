@@ -69,6 +69,23 @@ class _IdentityRng(np.random.Generator):
         return out
 
 
+def te_from_counts_masked(counts, totals):
+    """The masked TE pass ``_te_from_counts`` replaced, frozen as its
+    byte-level reference: a masked divide and a masked ``log2`` leave 0.0
+    in every empty cell, and the products broadcast the marginals."""
+    c = np.ascontiguousarray(counts, dtype=float)
+    d_ab = c.sum(axis=3)
+    m_bc = c.sum(axis=1)
+    e_b = m_bc.sum(axis=2)
+    mask = c > 0.0
+    terms = np.multiply(c, e_b[:, None, :, None])
+    den = np.multiply(m_bc[:, None, :, :], d_ab[:, :, :, None])
+    np.divide(terms, den, out=terms, where=mask)
+    np.log2(terms, out=terms, where=mask)
+    terms *= c
+    return np.maximum(terms.sum(axis=(1, 2, 3)) / totals, 0.0)
+
+
 def scan_reference(src, tgt, lags, shuffles, rng):
     """Per-lag, per-surrogate loop over the layout the fused scan replaces.
 
@@ -84,7 +101,7 @@ def scan_reference(src, tgt, lags, shuffles, rng):
         pair = tgt[u:] * n_t + tgt[u - 1 : -1]
         counts = [np.bincount(pair * n_s + j, minlength=n_t * n_t * n_s) for j in rows]
         counts = np.array(counts).reshape(-1, n_t, n_t, n_s)
-        out.append(_te_from_counts(counts, np.full(len(rows), float(n))))
+        out.append(te_from_counts_masked(counts, np.full(len(rows), float(n))))
     return np.array(out)
 
 
@@ -550,6 +567,36 @@ class TestProductCounts:
             finally:
                 tracemalloc.stop()
             assert peak < 8 * entropy._COUNT_CELLS * 8, (length, n_targets)
+
+
+class TestMaskFreePass:
+    """``_te_from_counts`` gives the bytes of the masked pass it replaced."""
+
+    @given(
+        n_t=st.integers(min_value=1, max_value=5),
+        n_s=st.integers(min_value=1, max_value=5),
+        batch=st.integers(min_value=1, max_value=400),
+        top=st.sampled_from([1, 3, 40, 1000]),
+        fill=st.sampled_from([0.05, 0.3, 1.0]),
+        emptied=st.sampled_from([None, "i_{t-1}", "j_{t-u}"]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_masked_pass(self, n_t, n_s, batch, top, fill, emptied, seed):
+        rng = np.random.default_rng(seed)
+        shape = (batch, n_t, n_t, n_s)
+        counts = rng.integers(0, top + 1, shape) * (rng.random(shape) < fill)
+        if emptied == "i_{t-1}":
+            counts[:, :, rng.integers(n_t)] = 0
+        elif emptied == "j_{t-u}":
+            counts[..., rng.integers(n_s)] = 0
+        counts = counts.astype(float)
+        totals = np.maximum(counts.sum(axis=(1, 2, 3)), 1.0)
+        with np.errstate(all="raise"):
+            got = _te_from_counts(counts, totals)
+        want = te_from_counts_masked(counts, totals)
+        assert got.tobytes() == want.tobytes()
+        assert not np.signbit(got).any()
 
 
 class TestWorkspace:
