@@ -354,8 +354,7 @@ def lemma1_interval(
     ``mu_hat +/- z * sqrt(sigma2_hat / b)`` where ``z`` is the two-sided
     normal quantile for ``level``.
     """
-    if not (_is_real(mu_hat) and math.isfinite(mu_hat)):
-        raise InvalidArgumentError(f"mean must be a finite number: got {mu_hat!r}")
+    _check_number(mu_hat, "mean", -math.inf)
     _check_int(b, "replicate count", 1)
     _check_number(sigma2_hat, "variance", 0)
     _check_level(level)

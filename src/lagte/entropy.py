@@ -279,7 +279,7 @@ def _te_from_counts(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
     # rows and weights, which are free while a pass runs, so that a scan
     # keeps fewer buffers in cache; the marginals are spread over the
     # source axis by assignment, which is much faster than a product that
-    # broadcasts an axis of two or three cells
+    # broadcasts the innermost axis of two or three cells
     den, spread = _scratch("weight", c.shape), _scratch("spread", m_bc.shape)
     for k in range(c.shape[3]):
         den[..., k] = d_ab

@@ -58,8 +58,10 @@ def test_a_failed_or_wrong_run_is_reported_and_its_pair_not_counted():
     ]
     got = bench_pairs.summarize(pairs, SPEC)
     assert not got["all_correct"] and got["failed_runs"] == 2
-    assert got["metrics"]["wall_s"]["wins"] == 1
-    assert got["metrics"]["wall_s"]["base"]["median"] == 1.0
+    assert got["metrics"]["wall_s"] == {"unit": "s", "better": "lower"}
+    counted = bench_pairs.summarize(pairs + [(_result(2.0), _result(3.0))], SPEC)
+    wall = counted["metrics"]["wall_s"]
+    assert (wall["wins"], wall["ties"], wall["base"]["median"]) == (0, 0, 2.0)
     nothing = bench_pairs.summarize([(None, None)], SPEC)["metrics"]["wall_s"]
     assert nothing == {"unit": "s", "better": "lower"}
 

@@ -6,13 +6,15 @@ Run from any directory; the change side is the checkout the script sits in::
     python3 tools/bench_pairs.py --base ../parent --workload corridor_paths
     python3 tools/bench_pairs.py --base . --workload batch_raw --pairs 1 --smoke
 
-Pair ``i`` runs ``perfbench/run.py --workload W --seed S+i --trace 0`` once
+Pair ``i`` runs ``perfbench/run.py --workload W --seed 1+i --trace 0`` once
 in the base directory and once here, each in a process of its own, and
 alternates which side goes first, so that a drift of the machine does not
 favour one side.  Prints one JSON object: per end-to-end metric of
 ``BENCHMARK.json``, each side's median and quartiles and the change's wins
 and ties in the metric's better direction (a pair in which either side
-printed no result is not counted), and whether every run was correct.  The base
+printed no result or a wrong one is not counted), and whether every run was
+correct.  The seeds 1-20 are those whose deck outputs ``perfbench/golden.json``
+pins.  The base
 checkout's own ``perfbench/`` runs the base side.  Nothing under
 ``perfbench/`` is written but what a benchmark run itself writes.  Exits 0
 when every run was correct, and 1 when any failed or gave a wrong output.
@@ -57,9 +59,10 @@ def quartiles(values: list) -> dict:
 def summarize(pairs: list, spec: list) -> dict:
     """The summary of ``pairs``, a list of ``(base, change)`` result
     objects (``None`` for a run that printed none), over the end-to-end
-    metrics ``spec`` of ``BENCHMARK.json``."""
+    metrics ``spec`` of ``BENCHMARK.json``; only pairs whose two runs were
+    both correct count toward the medians, quartiles, wins and ties."""
     runs = [result for pair in pairs for result in pair]
-    ok = [pair for pair in pairs if None not in pair]
+    ok = [p for p in pairs if all(r is not None and r["correct"] for r in p)]
     metrics = {}
     for entry in spec:
         name, sign = entry["name"], 1 if entry["better"] == "higher" else -1
@@ -90,9 +93,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--seconds", type=float, default=18.0, help="seconds per run (default: 18)"
     )
-    parser.add_argument(
-        "--first-seed", type=int, default=1, help="seed of pair 0 (default: 1)"
-    )
     parser.add_argument("--smoke", action="store_true", help="the runs' tiny decks")
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -102,7 +102,7 @@ def main(argv=None) -> int:
     sides = {"base": args.base.resolve(), "change": ROOT}
     pairs = []
     for i in range(args.pairs):
-        seed = args.first_seed + i
+        seed = 1 + i
         order = ["base", "change"] if i % 2 == 0 else ["change", "base"]
         result = {}
         for side in order:
@@ -114,7 +114,7 @@ def main(argv=None) -> int:
                   file=sys.stderr, flush=True)
         pairs.append((result["base"], result["change"]))
     summary = summarize(pairs, spec["end_to_end"])
-    summary.update(workload=args.workload, seconds=args.seconds, first_seed=args.first_seed)
+    summary.update(workload=args.workload, seconds=args.seconds)
     print(json.dumps(summary, indent=1))
     return 0 if summary["all_correct"] else 1
 
