@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
-from datetime import datetime
+from datetime import datetime, timedelta
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -243,8 +243,6 @@ class SpeedSeries:
         _check_int(n, "tail length", 1, len(self))
         start = None
         if self.start_time is not None:
-            from datetime import timedelta
-
             start = self.start_time + timedelta(minutes=(len(self) - n) * self.period)
         return SpeedSeries(self.values[len(self) - n :], self.period, self.label, start)
 

@@ -65,7 +65,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     InvalidArgumentError,
-    LagTEError,
     PipelineConfig,
     _as_floats,
     _check_config,
@@ -527,8 +526,9 @@ def best_lags_shared(
 
     Returns, per item, a list with ``best_lag(source, target, config,
     rng)`` of each of its targets, called with ``rng`` in the state this
-    call found it in, or the ``LagTEError`` the item's checks raise.  An
-    item that fails its checks fails alone.
+    call found it in.  Every item is checked before anything is drawn: the
+    first item that fails its checks fails the call with its
+    ``LagTEError``, and ``rng`` is left untouched.
 
     Items whose sources have one length and whose configs have one lag
     count and one ``shuffle_reps`` share one shuffle draw, even when their
@@ -543,12 +543,8 @@ def best_lags_shared(
     _check_rng(rng)
     out, draws = [], {}  # draws: (length, lag count, shuffles) -> item indices
     for source, targets, config in items:
-        try:
-            _check_config(config)
-            scan = _scan_item(source, targets, config.lag_min, config.lag_max)
-        except LagTEError as exc:
-            out.append(exc)
-            continue
+        _check_config(config)
+        scan = _scan_item(source, targets, config.lag_min, config.lag_max)
         shape = (scan[0].size, scan[2].size, config.shuffle_reps)
         draws.setdefault(shape, []).append(len(out))
         out.append(scan)
@@ -580,7 +576,5 @@ def best_lag(
     (u_hat, profile) : tuple
         The winning lag and the full per-lag profile behind the choice.
     """
-    (picks,) = best_lags_shared([(source, [target], config)], rng)
-    if isinstance(picks, LagTEError):
-        raise picks
-    return picks[0]
+    ((pick,),) = best_lags_shared([(source, [target], config)], rng)
+    return pick

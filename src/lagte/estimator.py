@@ -25,8 +25,11 @@ each config it normalizes and encodes all of the source's walks as one
 each replicate in one ``best_lags_shared`` call, one item per config
 with its targets, on that replicate's own shuffle stream.  ``entropy``
 alone decides which configs share a shuffle draw (those of equal lag
-and shuffle counts); every config still gets the bytes of its own scan,
-and one that fails its scan fails alone.  ``workers`` counts the calling
+and shuffle counts); every config still gets the bytes of its own scan.
+A replicate has one step that can fail, coding: a series whose walks
+could overflow fails its fit, and a checked job's scans are valid, so a
+job fails only when its source's or target's walks fail to code under
+its config, and it then fails alone.  ``workers`` counts the calling
 process: a call splits every group's replicates into up to ``workers``
 interleaved shares, one block per group each; the caller runs share 0,
 and each other share is one task for the process's kept pool.  The first
@@ -54,7 +57,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -143,31 +146,38 @@ def _as_series(series, name: str) -> SpeedSeries:
 
 
 def _fit(series: SpeedSeries, config: PipelineConfig):
-    """Decompose a series and fit its residual chain: ``(trend, model)``."""
+    """Decompose a series and fit its residual chain: ``(trend, model)``.
+
+    A walk adds a residual to each trend sample, and rounding is monotone,
+    so every walk is finite when the largest trend and residual magnitudes
+    sum to a finite float; a series for which they do not fails here.
+    """
     decomp = decompose(series, config.trend_order)
+    with np.errstate(over="ignore"):
+        bound = np.abs(decomp.trend).max() + np.abs(decomp.residual).max()
+    if not np.isfinite(bound):
+        raise InvalidArgumentError(
+            "series values too large: a bootstrap walk would overflow"
+        )
     return decomp.trend, fit_markov(decomp.residual, config.residual_states)
 
 
 def _walk(trend, model, seed: int, b: int, tag: int):
-    """Replicate ``b`` of a series' bootstrap walk: ``(values, restarts)``,
-    or the ``LagTEError`` the walk raised."""
+    """Replicate ``b`` of a series' bootstrap walk: ``(values, restarts)``."""
     diagnostics = {}
-    try:
-        rng = derive_replicate_rng(seed, b, tag)
-        boot = sample_bootstrap_series(
-            model, trend, trend.size, rng, diagnostics=diagnostics
-        )
-    except LagTEError as exc:
-        return exc
+    rng = derive_replicate_rng(seed, b, tag)
+    boot = sample_bootstrap_series(
+        model, trend, trend.size, rng, diagnostics=diagnostics
+    )
     return boot.values, diagnostics["restarts"]
 
 
-def _code(walks: dict, config: PipelineConfig, step: int):
+def _code(walks: dict, config: PipelineConfig):
     """Normalize and code a block of walks under a config.
 
     ``walks`` maps replicate indices to walks.  Returns a dict from the
-    same indices to symbol arrays, and None or, when the block's coding
-    failed, ``(index, step, error)`` with the block's first index.
+    same indices to symbol arrays, or the ``LagTEError`` the block's
+    coding raised.
     Normalizers place their output on a calibrated scale (the nonlinear
     method yields CDF values in (0, 1)), so the configured cutoffs act as
     fixed bounds there: a coded extreme means the same thing in every
@@ -176,7 +186,7 @@ def _code(walks: dict, config: PipelineConfig, step: int):
     per series.
     """
     if not walks:
-        return {}, None
+        return {}
     values = np.stack([walk[0] for walk in walks.values()])
     try:
         normalized = normalize(values, config.norm_method, config.window)
@@ -188,12 +198,8 @@ def _code(walks: dict, config: PipelineConfig, step: int):
         else:
             symbols = encode_fixed(normalized, config.encode_quantiles).symbols
     except LagTEError as exc:
-        return {}, (next(iter(walks)), step, exc)
-    return dict(zip(walks, symbols)), None
-
-
-# The steps of a job's replicate, in the order its failures rank.
-_SOURCE_WALK, _SOURCE_CODING, _TARGET_WALK, _TARGET_CODING, _SCAN = range(5)
+        return exc
+    return dict(zip(walks, symbols))
 
 
 def _run_replicates(
@@ -211,71 +217,46 @@ def _run_replicates(
     docstring says.
 
     Returns, per job, its ``(lag, best_ete, restarts)`` rows in ``indices``
-    order and either None or ``(index, error)`` for the first replicate
-    where it failed, with the error of its first failing step in the order
-    source walk, source coding, target walk, target coding, scan.  Coding
-    fails for a whole block, and in practice only for a whole config, so
-    its error is charged to the block's first replicate whose walk
-    succeeded.  A failed job is not scanned from then on.
+    order and either None or ``(indices[0], error)``.  Coding is the one
+    step that can fail: ``_fit`` keeps every walk finite, and equal lengths
+    and ``validate_for_length`` make every scan valid.  Coding fails for a
+    whole block, so a job fails with its source's coding error, or else its
+    target's, charged to the block's first replicate, and is not scanned.
     """
     seed = configs[0].seed
-
-    def walk_all(series, tag, step):
-        # the walks that succeeded, and the first failure as (index, step, error)
-        walks, failure = {}, None
-        for b in indices:
-            walk = _walk(*series, seed, b, tag)
-            if not isinstance(walk, LagTEError):
-                walks[b] = walk
-            elif failure is None:
-                failure = (b, step, walk)
-        return walks, failure
-
-    src_walks, src_failure = walk_all(source, TAG_SOURCE_BOOT, _SOURCE_WALK)
+    src_walks = {b: _walk(*source, seed, b, TAG_SOURCE_BOOT) for b in indices}
     tgt_walks = {
-        k: walk_all(targets[k], TAG_TARGET_BOOT, _TARGET_WALK)
+        k: {b: _walk(*targets[k], seed, b, TAG_TARGET_BOOT) for b in indices}
         for k in dict.fromkeys(k for _, k in jobs)
     }
-    # (config index, None for the source or a target index) -> (symbols, failure)
+    # (config index, None for the source or a target index) -> symbols or error
     coded = {}
-    failures = []  # per job, its first failure: (index, step, error) or None
-    for c, k in jobs:
-        if (c, None) not in coded:
-            coded[c, None] = _code(src_walks, configs[c], _SOURCE_CODING)
-        if (c, k) not in coded:
-            coded[c, k] = _code(tgt_walks[k][0], configs[c], _TARGET_CODING)
-        steps = (src_failure, coded[c, None][1], tgt_walks[k][1], coded[c, k][1])
-        steps = [f for f in steps if f is not None]
-        failures.append(min(steps, key=lambda f: f[:2], default=None))
+    live = {}  # config index -> its jobs whose coding succeeded
+    failures = []
+    for j, (c, k) in enumerate(jobs):
+        for side, walks in ((None, src_walks), (k, tgt_walks[k])):
+            if (c, side) not in coded:
+                coded[c, side] = _code(walks, configs[c])
+        errors = [
+            e for e in (coded[c, None], coded[c, k]) if isinstance(e, LagTEError)
+        ]
+        failures.append((indices[0], errors[0]) if errors else None)
+        if not errors:
+            live.setdefault(c, []).append(j)
 
     rows = [[] for _ in jobs]
-    for b in indices:
-        live = {}  # config index -> its live jobs
-        for j, (c, _) in enumerate(jobs):
-            if failures[j] is None or failures[j][0] > b:
-                live.setdefault(c, []).append(j)
-        if not live:
-            continue
+    # a block whose every job failed draws no shuffle stream
+    for b in indices if live else ():
         items = [
-            (
-                coded[c, None][0][b],
-                [coded[c, jobs[j][1]][0][b] for j in js],
-                configs[c],
-            )
+            (coded[c, None][b], [coded[c, jobs[j][1]][b] for j in js], configs[c])
             for c, js in live.items()
         ]
         rng_shuffle = derive_replicate_rng(seed, b, TAG_SHUFFLE)
         for js, picks in zip(live.values(), best_lags_shared(items, rng_shuffle)):
-            if isinstance(picks, LagTEError):
-                for j in js:
-                    failures[j] = (b, _SCAN, picks)
-                continue
             for j, (u_hat, profile) in zip(js, picks):
-                restarts = src_walks[b][1] + tgt_walks[jobs[j][1]][0][b][1]
+                restarts = src_walks[b][1] + tgt_walks[jobs[j][1]][b][1]
                 rows[j].append((u_hat, max(profile.ete), restarts))
-    return [
-        (r, None if f is None else (f[0], f[2])) for r, f in zip(rows, failures)
-    ]
+    return list(zip(rows, failures))
 
 
 # The process pool that every multi-worker call in this process shares, with
@@ -374,8 +355,7 @@ def _gather_replicates(shares, reps: int, level: float) -> list:
     """Per job, ``(LagSample, EstimateDetails)`` or its ``LagTEError``.
 
     ``shares`` holds a group's outcomes of each ``_run_share``, in order.  A
-    failed outcome reports the error of its earliest failing replicate,
-    whatever the shares were.
+    failed outcome reports the error of its earliest failing share.
     """
     rows = [{} for _ in shares[0]]
     failures = [[] for _ in shares[0]]
@@ -539,14 +519,17 @@ def grid_search(
     length_grid: Sequence[int],
     window_grid: Sequence,
     workers: Optional[int] = None,
-    estimate_fn: Optional[Callable] = None,
 ) -> GridSearchResult:
     """Search observation length and window for the most stable estimate.
 
     Each cell truncates both series to the most recent ``length`` samples,
     overrides the window, reruns the estimation, and scores the cell by
-    ``sigma2_hat / B``.  Cells that fail validation are recorded as
-    skipped rather than aborting the search.
+    ``sigma2_hat / B``.  Every cell is checked first; the valid cells go to
+    one ``estimate_delays`` call with one pair of tails per length, so each
+    gets exactly what ``estimate_delay`` would give it.  Cells that fail
+    with ``InvalidArgumentError``, in their checks or their estimate, are
+    recorded as skipped rather than aborting the search; any other error
+    propagates.
 
     Parameters
     ----------
@@ -558,13 +541,6 @@ def grid_search(
     workers : int, optional
         Process count, the calling process included, as for
         ``estimate_delay``.  Results are identical either way.
-    estimate_fn : callable, optional
-        Replacement for the cell evaluator with the same signature as
-        ``estimate_delay(source, target, config, workers=...)``, called
-        once per valid cell; intended for diagnostics and tests.  Without
-        it, all cells go to one ``estimate_delays`` call with one pair of
-        tails per length, and each cell gets exactly what
-        ``estimate_delay`` would give it.
 
     Returns
     -------
@@ -596,30 +572,22 @@ def grid_search(
                 config = exc
             cells.append((cell, config))
 
+    valid = [(cell, c) for cell, c in cells if isinstance(c, PipelineConfig)]
+    lengths = {cell[0] for cell, _ in valid}
+    tails = {n: (src.tail(n), tgt.tail(n)) for n in lengths}
+    outcomes = iter(
+        estimate_delays([(*tails[cell[0]], c) for cell, c in valid], workers)
+    )
     grid, scores, samples, skipped = [], [], [], []
-    if estimate_fn is None:
-        valid = [(cell, c) for cell, c in cells if isinstance(c, PipelineConfig)]
-        lengths = {cell[0] for cell, _ in valid}
-        tails = {n: (src.tail(n), tgt.tail(n)) for n in lengths}
-        outcomes = iter(
-            estimate_delays([(*tails[cell[0]], c) for cell, c in valid], workers)
-        )
-    for cell, config in cells:
-        try:
-            if isinstance(config, InvalidArgumentError):
-                raise config
-            if estimate_fn is None:
-                outcome = next(outcomes)
-                if isinstance(outcome, LagTEError):
-                    raise outcome
-                sample = outcome[0]
-            else:
-                sample = estimate_fn(
-                    src.tail(cell[0]), tgt.tail(cell[0]), config, workers=workers
-                )
-        except InvalidArgumentError as exc:
-            skipped.append((cell, str(exc)))
+    for cell, outcome in cells:
+        if isinstance(outcome, PipelineConfig):
+            outcome = next(outcomes)
+        if isinstance(outcome, InvalidArgumentError):
+            skipped.append((cell, str(outcome)))
             continue
+        if isinstance(outcome, LagTEError):
+            raise outcome
+        sample = outcome[0]
         grid.append(cell)
         scores.append(sample.sigma2_hat / sample.n_reps)
         samples.append(sample)

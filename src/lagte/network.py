@@ -639,8 +639,6 @@ def emit_report(
         }
         text = json.dumps(payload, indent=2) + "\n"
     elif format == "csv":
-        import io
-
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(

@@ -33,6 +33,7 @@ from lagte import (
     shannon_entropy,
     transfer_entropy,
 )
+from lagte import estimator
 from lagte.bootstrap import fit_markov, sample_bootstrap_series
 from lagte.cli import main as cli_main
 from lagte.core import TAG_SIMULATION, derive_replicate_rng
@@ -306,13 +307,13 @@ def test_criterion_08_variance_consistency(capsys):
     assert 0.5 <= ratio <= 2.0
 
 
-def test_criterion_09_grid_search_selection(capsys):
+def test_criterion_09_grid_search_selection(capsys, monkeypatch):
     # Injected per-window scores with the known minimum at w=20: the
     # grid search must pick that cell via its variance score.
     scores = {10: 5.0, 20: 1.59, 30: 1.97, 40: 2.52}
     reps = 100
 
-    def fake_estimate(source, target, config, workers=None):
+    def fake_estimate(source, target, config):
         score = scores[config.window]
         return LagSample(
             lags=(TRUE_LAG,) * reps,
@@ -322,13 +323,16 @@ def test_criterion_09_grid_search_selection(capsys):
             ci95=(float(TRUE_LAG), float(TRUE_LAG)),
         )
 
+    def fake_estimates(jobs, workers=None, level=0.95):
+        return [(fake_estimate(*job), None) for job in jobs]
+
+    monkeypatch.setattr(estimator, "estimate_delays", fake_estimates)
     result = grid_search(
         np.zeros(120),
         np.zeros(120),
         PipelineConfig(),
         [120],
         [10, 20, 30, 40],
-        estimate_fn=fake_estimate,
     )
     passed = result.best == (120, 20)
     _verdict(capsys, 9, passed, f"best cell={result.best} == (120, 20)")

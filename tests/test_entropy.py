@@ -355,10 +355,9 @@ class TestBestLags:
             ([], "need at least one target"),
             ([source, np.ones(19, dtype=int)], "lengths differ: 20 != 19"),
         ):
-            (outcome,) = best_lags_shared([(source, targets, config)], rng)
-            assert isinstance(outcome, InvalidArgumentError)
-            assert message in str(outcome)
-        # best_lag raises what its one-item call returns
+            with pytest.raises(InvalidArgumentError, match=message):
+                best_lags_shared([(source, targets, config)], rng)
+        # best_lag raises what its one-item call raises
         with pytest.raises(InvalidArgumentError, match="lengths differ: 20 != 19"):
             best_lag(source, np.ones(19, dtype=int), config, rng)
 
@@ -391,18 +390,28 @@ def _shared_draw_items(data, length, n_items, shuffles, max_targets=3):
 
 
 def assert_same_outcome(got, want):
-    """Two ``best_lags_shared`` entries hold the same error, or the same
-    lags and profile bytes per target."""
-    if isinstance(want, LagTEError):
-        assert type(got) is type(want)
-        assert str(got) == str(want)
-        return
+    """Two ``best_lags_shared`` entries hold the same lags and profile bytes
+    per target."""
     assert len(got) == len(want)
     for (got_lag, got_p), (want_lag, want_p) in zip(got, want):
         assert got_lag == want_lag
         for field in ("lags", "te", "ete", "shuffle_mean"):
             got_bytes = np.array(getattr(got_p, field)).tobytes()
             assert got_bytes == np.array(getattr(want_p, field)).tobytes()
+
+
+def assert_fails_as_first_broken(items, broken, seed):
+    """``best_lags_shared`` of ``items`` raises the error of the first item
+    in ``broken`` and leaves its ``rng`` untouched."""
+    rng = np.random.default_rng(seed)
+    state = rng.bit_generator.state
+    with pytest.raises(LagTEError) as got:
+        best_lags_shared(items, rng)
+    assert rng.bit_generator.state == state
+    with pytest.raises(LagTEError) as want:
+        best_lags_shared([items[min(broken)]], np.random.default_rng(seed))
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
 
 
 class TestSharedDraw:
@@ -450,16 +459,17 @@ class TestSharedDraw:
         broken = data.draw(st.sets(st.integers(min_value=0, max_value=n_items - 1)))
         for i in broken:
             items[i][1].append(items[i][1][-1][:-1])
+        if broken:
+            assert_fails_as_first_broken(items, broken, seed)
+        good = [item for i, item in enumerate(items) if i not in broken]
         rng_shared = np.random.default_rng(seed)
-        got = best_lags_shared(items, rng_shared)
-        assert len(got) == n_items
-        for i, (item, outcome) in enumerate(zip(items, got)):
+        got = best_lags_shared(good, rng_shared)
+        assert len(got) == len(good)
+        for item, outcome in zip(good, got):
             rng_own = np.random.default_rng(seed)
             (want,) = best_lags_shared([item], rng_own)
-            assert isinstance(want, InvalidArgumentError) == (i in broken)
             assert_same_outcome(outcome, want)
-            if i not in broken:
-                assert rng_shared.bit_generator.state == rng_own.bit_generator.state
+            assert rng_shared.bit_generator.state == rng_own.bit_generator.state
 
     @given(
         data=st.data(),
@@ -469,7 +479,8 @@ class TestSharedDraw:
     @settings(max_examples=100, deadline=None)
     def test_items_of_any_shape_equal_their_own_call(self, data, n_items, seed):
         # each item draws its own length, lag count and shuffle count, so
-        # one call mixes several draws; some items fail their checks
+        # one call mixes several draws; some items fail their checks, and
+        # then so does the call
         items, broken = [], set()
         for i in range(n_items):
             length = data.draw(st.sampled_from([6, 9, 14]))
@@ -479,17 +490,18 @@ class TestSharedDraw:
                 item[1].append(item[1][-1][:-1])
                 broken.add(i)
             items.append(item)
+        if broken:
+            assert_fails_as_first_broken(items, broken, seed)
+        good = [item for i, item in enumerate(items) if i not in broken]
         rng_shared = np.random.default_rng(seed)
-        got = best_lags_shared(items, rng_shared)
-        assert len(got) == n_items
+        got = best_lags_shared(good, rng_shared)
+        assert len(got) == len(good)
         last_draw = None  # the rng state after the last shape's own call
         shapes = []
-        for i, (item, outcome) in enumerate(zip(items, got)):
+        for item, outcome in zip(good, got):
             rng_own = np.random.default_rng(seed)
             (want,) = best_lags_shared([item], rng_own)
             assert_same_outcome(outcome, want)
-            if i in broken:
-                continue
             source, _, config = item
             shape = (len(source), config.lag_max - config.lag_min, config.shuffle_reps)
             if shape not in shapes:
@@ -763,15 +775,20 @@ class TestArgumentChecks:
         )
 
     def test_bad_symbols_fail_their_item_alone(self):
+        # the call raises the bad item's error and draws nothing; the good
+        # items get their own bytes without it
         config = PipelineConfig(lag_max=3, shuffle_reps=2)
         good = (self.SERIES, [self.SERIES], config)
         items = [good, (self.SERIES, [self.BAD_SYMBOLS["nan"]], config), good]
-        got = best_lags_shared(items, np.random.default_rng(4))
-        assert isinstance(got[1], InvalidArgumentError)
-        assert "integer symbols" in str(got[1])
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidArgumentError, match="integer symbols"):
+            best_lags_shared(items, rng)
+        assert rng.bit_generator.state == state
+        got = best_lags_shared([good, good], np.random.default_rng(4))
         (want,) = best_lags_shared([good], np.random.default_rng(4))
         assert_same_outcome(got[0], want)
-        assert_same_outcome(got[2], want)
+        assert_same_outcome(got[1], want)
 
 
 def coupled_pair(u0, length, rng, drive=0.3, keep=0.3):

@@ -226,8 +226,6 @@ def replicates_reference(source, targets, configs, jobs, indices):
     own, one series at a time, and a failed job is skipped from then on."""
 
     def code(walk, config):
-        if isinstance(walk, LagTEError):
-            return walk
         values, restarts = walk
         try:
             normalized = estimator.normalize(values, config.norm_method, config.window)
@@ -273,20 +271,38 @@ def replicates_reference(source, targets, configs, jobs, indices):
             rng = estimator.derive_replicate_rng(config.seed, b, TAG_SHUFFLE)
             item = (src[0], [sym for sym, _ in coded.values()], config)
             (picks,) = best_lags_shared([item], rng)
-            if isinstance(picks, LagTEError):
-                for j in coded:
-                    failed[j] = (b, picks)
-                continue
             for (j, (_, restarts)), (u_hat, profile) in zip(coded.items(), picks):
                 rows[j].append((u_hat, max(profile.ete), src[1] + restarts))
     return list(zip(rows, failed))
 
 
+def grid_reference(source, target, config, length_grid, window_grid, workers=None):
+    """Per cell of a grid search: the ``LagSample`` of one ``estimate_delay``
+    call on that cell's own tails, or the message of the
+    ``InvalidArgumentError`` the cell fails with."""
+    out = {}
+    for length in length_grid:
+        for window in window_grid:
+            cell_config = config.with_overrides(window=window)
+            try:
+                cell_config.validate_for_length(length)
+                out[length, window] = estimate_delay(
+                    source.tail(length), target.tail(length), cell_config, workers
+                )
+            except InvalidArgumentError as exc:
+                out[length, window] = str(exc)
+    return out
+
+
+def grid_outcomes(result):
+    """A ``GridSearchResult`` per cell, as ``grid_reference`` gives it."""
+    return {**dict(zip(result.grid, result.samples)), **dict(result.skipped)}
+
+
 class TestStageMajorBlock:
     """``_run_replicates`` against the per-replicate reference loop."""
 
-    @pytest.mark.parametrize("walk_side", ["source", "target"])
-    def test_equals_per_replicate_reference(self, sim_pair, monkeypatch, walk_side):
+    def test_equals_per_replicate_reference(self, sim_pair, monkeypatch):
         source, target = sim_pair
         other = SpeedSeries(target.values[::-1])
         lifted = SpeedSeries(target.values + 1000.0)  # walks stay above 500
@@ -295,7 +311,7 @@ class TestStageMajorBlock:
             base,
             base.with_overrides(norm_method="minmax", window=FULL_WINDOW),
             base.with_overrides(norm_method="none"),
-            base.with_overrides(norm_method="zscore", window=7),  # fails: source
+            base.with_overrides(norm_method="zscore", window=7),  # fails: all
             base.with_overrides(window=9),  # fails: lifted target
         )
         jobs = (
@@ -308,39 +324,20 @@ class TestStageMajorBlock:
             (3, 0),
             (4, 2),
             (4, 0),
-            (3, 1),  # source coding and a target walk may fail in one replicate
+            (3, 2),  # source and target coding both fail: the source's error
         )
         src_fit = estimator._fit(source, base)
         tgt_fits = tuple(estimator._fit(t, base) for t in (target, other, lifted))
-
-        # the walk of one replicate raises: replicate 3 of the source, or
-        # replicate 2 of ``other``
-        k, fit, tag = (
-            (3, src_fit, TAG_SOURCE_BOOT)
-            if walk_side == "source"
-            else (2, tgt_fits[1], TAG_TARGET_BOOT)
-        )
-        doomed = estimator._walk(*fit, base.seed, k, tag)[0]
-        walk = estimator.sample_bootstrap_series
-
-        def failing_walk(model, trend, length, rng, diagnostics=None):
-            boot = walk(model, trend, length, rng, diagnostics=diagnostics)
-            if np.array_equal(boot.values, doomed):
-                raise InvalidArgumentError(f"walk {k} refused")
-            return boot
-
         normalize = estimator.normalize
 
         def failing_normalize(values, method, window):
-            if window == 7:
-                raise InvalidArgumentError("window 7 refused")
-            if window == 9 and np.min(values) > 500:
-                raise InvalidArgumentError("lifted target refused")
+            high = np.min(values) > 500
+            if window == 7 or (window == 9 and high):
+                raise InvalidArgumentError(f"window {window} refused, high={high}")
             return normalize(values, method, window)
 
-        monkeypatch.setattr(estimator, "sample_bootstrap_series", failing_walk)
         monkeypatch.setattr(estimator, "normalize", failing_normalize)
-        for indices in (range(9), range(1, 9, 3), range(k, 9, 4), range(5, 9)):
+        for indices in (range(9), range(1, 9, 3), range(3, 9, 4), range(5, 9)):
             args = (src_fit, tgt_fits, configs, jobs, indices)
             got = estimator._run_replicates(*args)
             want = replicates_reference(*args)
@@ -350,22 +347,21 @@ class TestStageMajorBlock:
                     assert got_failed is None
                     assert got_rows == want_rows
                 else:
-                    assert got_failed[0] == want_failed[0]
+                    assert got_failed[0] == want_failed[0] == indices[0]
                     assert type(got_failed[1]) is type(want_failed[1])
                     assert str(got_failed[1]) == str(want_failed[1])
             outcomes = [str(f[1]) if f else "ok" for _, f in got]
-            if indices == range(9):
-                assert outcomes[6] == "window 7 refused"
-                assert outcomes[7] == "lifted target refused"
-                assert f"walk {k} refused" in outcomes
-                # a source walk fails every job that did not fail before it
-                assert ("ok" in outcomes) == (walk_side == "target")
+            assert outcomes == ["ok"] * 6 + [
+                "window 7 refused, high=False",
+                "window 9 refused, high=True",
+                "ok",
+                "window 7 refused, high=False",
+            ]
 
 
 class TestSharedShuffleDraw:
     """The configs of a group derive one shuffle stream per replicate;
-    those with equal lag and shuffle counts share its draw, and they still
-    fail one by one."""
+    those with equal lag and shuffle counts share its draw."""
 
     @staticmethod
     def _count_shuffle_streams(monkeypatch):
@@ -403,41 +399,72 @@ class TestSharedShuffleDraw:
         for job, outcome in zip(jobs, got):
             assert outcome == estimate_delay(*job, return_details=True)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_scan_error_fails_only_its_config(self, sim_pair, monkeypatch, workers):
-        source, target = sim_pair
-        other = SpeedSeries(target.values[::-1])
-        config = fast_config(boot_reps=5, shuffle_reps=3, window=10)
-        doomed = config.with_overrides(window=20)
+
+class TestOverflowingSeries:
+    """A series whose walks could overflow float64 fails at its fit, with
+    one message, before any walk runs."""
+
+    # trend and residual both reach 1.5e308, so a walk could reach 3e308
+    HUGE = np.where(np.arange(60) % 2 == 0, 1.5e308, -1.5e308)
+    MESSAGE = "series values too large: a bootstrap walk would overflow"
+
+    @staticmethod
+    def _count_walks(monkeypatch):
+        calls = []
+        walk = estimator.sample_bootstrap_series
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return walk(*args, **kwargs)
+
+        monkeypatch.setattr(estimator, "sample_bootstrap_series", counting)
+        return calls
+
+    def test_fails_at_fit_without_walking(self, monkeypatch):
+        calls = self._count_walks(monkeypatch)
+        other = np.random.default_rng(3).normal(50.0, 5.0, 60)
+        config = fast_config(boot_reps=4, shuffle_reps=2, lag_max=5)
+        for job in ((self.HUGE, other, config), (other, self.HUGE, config)):
+            with pytest.raises(InvalidArgumentError) as exc:
+                estimate_delay(*job)
+            assert str(exc.value) == self.MESSAGE
+        assert calls == []
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_same_message_at_any_worker_count(self, workers):
+        rng = np.random.default_rng(3)
+        good, other = rng.normal(50.0, 5.0, 60), rng.normal(50.0, 5.0, 60)
+        config = fast_config(boot_reps=4, shuffle_reps=2, lag_max=5)
         jobs = [
-            (source, target, config),
-            (source, other, config),
-            (source, target, doomed),
-            (source, other, doomed),
-            (source, target, config.with_overrides(norm_method="minmax")),
+            (self.HUGE, other, config),
+            (good, other, config),
+            (other, self.HUGE, config),
         ]
-        code = estimator._code
-
-        def half_coded(walks, config, step):
-            # replicate 2 of the doomed config's source gets half-integer
-            # symbols, which its lag scan rejects
-            symbols, failure = code(walks, config, step)
-            source = step == estimator._SOURCE_CODING
-            if config.window == 20 and source and 2 in symbols:
-                symbols[2] = symbols[2] + 0.5
-            return symbols, failure
-
-        monkeypatch.setattr(estimator, "_code", half_coded)
         got = estimate_delays(jobs, workers=workers)
-        for i, (job, outcome) in enumerate(zip(jobs, got)):
-            if job[2] is doomed:
-                assert isinstance(outcome, InvalidArgumentError)
-                assert "integer symbols" in str(outcome)
-                with pytest.raises(InvalidArgumentError) as exc:
-                    estimate_delay(*job)
-                assert str(outcome) == str(exc.value)
-            else:
-                assert outcome == estimate_delay(*job, return_details=True)
+        for outcome in got[::2]:
+            assert isinstance(outcome, InvalidArgumentError)
+            assert str(outcome) == self.MESSAGE
+        assert got[1] == estimate_delay(*jobs[1], return_details=True)
+
+    def test_grid_search_skips_its_cells(self):
+        rng = np.random.default_rng(3)
+        # only the full length holds the huge samples
+        source = np.concatenate([self.HUGE[:20], rng.normal(50.0, 5.0, 40)])
+        target = rng.normal(50.0, 5.0, 60)
+        config = fast_config(boot_reps=3, shuffle_reps=2, lag_max=5)
+        result = grid_search(source, target, config, [40, 60], [10, 20])
+        assert result.grid == ((40, 10), (40, 20))
+        assert result.skipped == (
+            ((60, 10), self.MESSAGE),
+            ((60, 20), self.MESSAGE),
+        )
+
+    def test_series_just_below_the_limit_passes_the_fit(self):
+        near = self.HUGE / 1.5e308 * 8e307  # walks reach 1.6e308 at most
+        config = fast_config(residual_states=3)  # three residual values
+        trend, model = estimator._fit(SpeedSeries(near), config)
+        values, _ = estimator._walk(trend, model, config.seed, 0, TAG_SOURCE_BOOT)
+        assert np.isfinite(values).all()
 
 
 class TestOnePoolPerCall:
@@ -706,110 +733,93 @@ class TestShares:
         estimate_delay(*sim_pair, fast_config(boot_reps=1), workers=2)
         assert pool_tasks == []
 
-    # at workers 2 the caller runs the even replicates and the child the odd
-    @pytest.mark.parametrize("doomed, first", [((2, 5), 2), ((4, 3), 3)])
-    def test_walk_failure_reports_earliest_replicate(
-        self, sim_pair, monkeypatch, doomed, first
+    def test_coding_failure_is_the_same_at_any_worker_count(
+        self, sim_pair, monkeypatch
     ):
+        # coding fails for whichever block holds replicate 2's walk of
+        # ``source``: at workers 1 and 2 the block of replicate 0, at
+        # workers 3 the block of replicate 2
         source, target = sim_pair
-        config = fast_config(boot_reps=6, shuffle_reps=3)
+        other = SpeedSeries(target.values[::-1])
+        config = fast_config(boot_reps=6, shuffle_reps=3, window=10)
+        doomed = config.with_overrides(window=7)
         src_fit = estimator._fit(source, config)
-        doomed_walks = {
-            estimator._walk(*src_fit, config.seed, b, TAG_SOURCE_BOOT)[0].tobytes(): b
-            for b in doomed
-        }
-        walk = estimator.sample_bootstrap_series
+        walk = estimator._walk(*src_fit, config.seed, 2, TAG_SOURCE_BOOT)[0]
+        normalize = estimator.normalize
 
-        def failing_walk(model, trend, length, rng, diagnostics=None):
-            boot = walk(model, trend, length, rng, diagnostics=diagnostics)
-            b = doomed_walks.get(boot.values.tobytes())
-            if b is not None:
-                raise InvalidArgumentError(f"walk {b} refused")
-            return boot
+        def failing_normalize(values, method, window):
+            if window == 7 and any(np.array_equal(row, walk) for row in values):
+                raise InvalidArgumentError("walk 2 refused")
+            return normalize(values, method, window)
 
-        monkeypatch.setattr(estimator, "sample_bootstrap_series", failing_walk)
-        for workers in (1, 2):
-            (outcome,) = estimate_delays([(source, target, config)], workers=workers)
-            assert isinstance(outcome, InvalidArgumentError)
-            assert str(outcome) == f"walk {first} refused"
+        monkeypatch.setattr(estimator, "normalize", failing_normalize)
+        jobs = [
+            (source, target, config),
+            (source, target, doomed),
+            (source, other, doomed),
+            (target, source, doomed),  # never codes that walk
+        ]
+        want = [estimate_delay(*job, return_details=True) for job in jobs[::3]]
+        for workers in (1, 2, 3):
+            got = estimate_delays(jobs, workers=workers)
+            for outcome in got[1:3]:
+                assert isinstance(outcome, InvalidArgumentError)
+                assert str(outcome) == "walk 2 refused"
+            assert got[::3] == want
 
 
-def _stub_for_scores(score_by_window, reps=100):
-    def fake_estimate(source, target, config, workers=None):
-        score = score_by_window[config.window]
-        return LagSample(
-            lags=(10,) * reps,
-            mu_hat=10.0,
-            sigma2_hat=score * reps,
-            stderr=0.0,
-            ci95=(10.0, 10.0),
-        )
+def _stub_for_scores(monkeypatch, score_by_window, reps=100):
+    """Make every estimate of a grid search score its window's entry."""
 
-    return fake_estimate
+    def fake_estimates(jobs, workers=None, level=0.95):
+        samples = []
+        for _, _, config in jobs:
+            score = score_by_window[config.window]
+            sample = LagSample(
+                lags=(10,) * reps,
+                mu_hat=10.0,
+                sigma2_hat=score * reps,
+                stderr=0.0,
+                ci95=(10.0, 10.0),
+            )
+            samples.append((sample, None))  # grid_search reads no details
+        return samples
+
+    monkeypatch.setattr(estimator, "estimate_delays", fake_estimates)
 
 
 class TestGridSearch:
-    def test_published_score_profile_picks_window_20(self, sim_pair):
+    def test_published_score_profile_picks_window_20(self, sim_pair, monkeypatch):
         source, target = sim_pair
         scores = {10: 5.0, 20: 1.59, 30: 1.97, 40: 2.52}
-        result = grid_search(
-            source,
-            target,
-            fast_config(),
-            [120],
-            [10, 20, 30, 40],
-            estimate_fn=_stub_for_scores(scores),
-        )
+        _stub_for_scores(monkeypatch, scores)
+        result = grid_search(source, target, fast_config(), [120], [10, 20, 30, 40])
         assert result.best == (120, 20)
         assert min(result.scores) == result.scores[result.grid.index(result.best)]
 
-    def test_single_cell(self, sim_pair):
+    def test_single_cell(self, sim_pair, monkeypatch):
         source, target = sim_pair
-        result = grid_search(
-            source,
-            target,
-            fast_config(),
-            [100],
-            [20],
-            estimate_fn=_stub_for_scores({20: 1.0}),
-        )
+        _stub_for_scores(monkeypatch, {20: 1.0})
+        result = grid_search(source, target, fast_config(), [100], [20])
         assert result.best == (100, 20)
         assert len(result.grid) == 1
 
-    def test_tie_prefers_smaller_window(self, sim_pair):
+    def test_tie_prefers_smaller_window(self, sim_pair, monkeypatch):
         source, target = sim_pair
-        result = grid_search(
-            source,
-            target,
-            fast_config(),
-            [100],
-            [30, 20],
-            estimate_fn=_stub_for_scores({20: 1.0, 30: 1.0}),
-        )
+        _stub_for_scores(monkeypatch, {20: 1.0, 30: 1.0})
+        result = grid_search(source, target, fast_config(), [100], [30, 20])
         assert result.best == (100, 20)
 
-    def test_full_window_sorts_last_on_tie(self, sim_pair):
+    def test_full_window_sorts_last_on_tie(self, sim_pair, monkeypatch):
         source, target = sim_pair
-        result = grid_search(
-            source,
-            target,
-            fast_config(),
-            [100],
-            [FULL_WINDOW, 40],
-            estimate_fn=_stub_for_scores({40: 1.0, FULL_WINDOW: 1.0}),
-        )
+        _stub_for_scores(monkeypatch, {40: 1.0, FULL_WINDOW: 1.0})
+        result = grid_search(source, target, fast_config(), [100], [FULL_WINDOW, 40])
         assert result.best == (100, 40)
 
-    def test_invalid_cells_are_skipped_with_reason(self, sim_pair):
+    def test_invalid_cells_are_skipped_with_reason(self, sim_pair, monkeypatch):
         source, target = sim_pair
-        result = grid_search(
-            source,
-            target,
-            fast_config(),
-            [100, 500],
-            [20],
-            estimate_fn=_stub_for_scores({20: 1.0}),
-        )
+        _stub_for_scores(monkeypatch, {20: 1.0})
+        result = grid_search(source, target, fast_config(), [100, 500], [20])
         assert result.grid == ((100, 20),)
         assert len(result.skipped) == 1
         assert result.skipped[0][0] == (500, 20)
@@ -845,15 +855,14 @@ class TestGridSearchOnePass:
     def _both(source, target, config, workers=None):
         args = (source, target, config, *TestGridSearchOnePass.GRID)
         got = grid_search(*args, workers=workers)
-        want = grid_search(*args, workers=workers, estimate_fn=estimate_delay)
-        return got, want
+        assert grid_outcomes(got) == grid_reference(*args, workers)
+        return got
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("method", ["none", "minmax", "zscore", "nonlinear"])
     def test_equals_per_cell_reference(self, sim_pair, method, workers):
         config = fast_config(boot_reps=5, shuffle_reps=3, norm_method=method)
-        got, want = self._both(*sim_pair, config, workers)
-        assert got == want
+        got = self._both(*sim_pair, config, workers)
         assert [c for c, _ in got.skipped] == [(80, 100)]
         assert len(got.grid) == 5
 
@@ -868,28 +877,12 @@ class TestGridSearchOnePass:
             return fit_markov(residuals, n_states)
 
         monkeypatch.setattr(estimator, "fit_markov", failing_fit)
-        got, want = self._both(*sim_pair, fast_config(boot_reps=3, shuffle_reps=3))
-        assert got == want
+        got = self._both(*sim_pair, fast_config(boot_reps=3, shuffle_reps=3))
         assert got.skipped == (
             ((80, 10), "no chain for 80 samples"),
             ((80, FULL_WINDOW), "no chain for 80 samples"),
             ((80, 100), "window=100 exceeds series length 80"),
         )
-
-    def test_walk_failure_reports_earliest_replicate(self, sim_pair, monkeypatch):
-        walk = estimator.sample_bootstrap_series
-
-        def failing_walk(model, trend, length, rng, diagnostics=None):
-            boot = walk(model, trend, length, rng, diagnostics=diagnostics)
-            if length == 120 and boot.values[-1] > trend[-1]:
-                raise InvalidArgumentError(f"walk ends at {boot.values[-1]!r}")
-            return boot
-
-        monkeypatch.setattr(estimator, "sample_bootstrap_series", failing_walk)
-        got, want = self._both(*sim_pair, fast_config(boot_reps=6, shuffle_reps=3))
-        assert got == want
-        reasons = {r for c, r in got.skipped if c[0] == 120}
-        assert len(reasons) == 1 and "walk ends at" in reasons.pop()
 
     # in the tails of sim_pair only target walks rise above 30
     @pytest.mark.parametrize("side", ["source", "target"])
@@ -904,8 +897,7 @@ class TestGridSearchOnePass:
             return normalize(values, method, window)
 
         monkeypatch.setattr(estimator, "normalize", failing_normalize)
-        got, want = self._both(*sim_pair, fast_config(boot_reps=6, shuffle_reps=3))
-        assert got == want
+        got = self._both(*sim_pair, fast_config(boot_reps=6, shuffle_reps=3))
         failed = {c for c, _ in got.skipped} - {(80, 100)}
         assert failed and all(window == 10 for _, window in failed)
 
