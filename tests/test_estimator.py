@@ -302,17 +302,20 @@ def grid_outcomes(result):
 class TestStageMajorBlock:
     """``_run_replicates`` against the per-replicate reference loop."""
 
-    def test_equals_per_replicate_reference(self, sim_pair, monkeypatch):
+    @pytest.mark.parametrize("lifted_side", ["source", "target"])
+    def test_equals_per_replicate_reference(self, sim_pair, monkeypatch, lifted_side):
         source, target = sim_pair
         other = SpeedSeries(target.values[::-1])
         lifted = SpeedSeries(target.values + 1000.0)  # walks stay above 500
+        if lifted_side == "source":
+            source = SpeedSeries(source.values + 1000.0)
         base = fast_config(boot_reps=9, shuffle_reps=3, lag_max=8, window=10)
         configs = (
             base,
             base.with_overrides(norm_method="minmax", window=FULL_WINDOW),
             base.with_overrides(norm_method="none"),
             base.with_overrides(norm_method="zscore", window=7),  # fails: all
-            base.with_overrides(window=9),  # fails: lifted target
+            base.with_overrides(window=9),  # fails: any lifted series
         )
         jobs = (
             (0, 0),
@@ -351,12 +354,22 @@ class TestStageMajorBlock:
                     assert type(got_failed[1]) is type(want_failed[1])
                     assert str(got_failed[1]) == str(want_failed[1])
             outcomes = [str(f[1]) if f else "ok" for _, f in got]
-            assert outcomes == ["ok"] * 6 + [
-                "window 7 refused, high=False",
-                "window 9 refused, high=True",
-                "ok",
-                "window 7 refused, high=False",
-            ]
+            if lifted_side == "source":
+                # the source's error fails every job of its config, also
+                # (4, 0), whose target codes
+                assert outcomes == ["ok"] * 6 + [
+                    "window 7 refused, high=True",
+                    "window 9 refused, high=True",
+                    "window 9 refused, high=True",
+                    "window 7 refused, high=True",
+                ]
+            else:
+                assert outcomes == ["ok"] * 6 + [
+                    "window 7 refused, high=False",
+                    "window 9 refused, high=True",
+                    "ok",
+                    "window 7 refused, high=False",
+                ]
 
 
 class TestSharedShuffleDraw:
