@@ -26,13 +26,26 @@ def _gappy_csv(tmp_path):
     return str(path)
 
 
-def _paths_json(tmp_path, time="2024-03-01T05:30:00"):
+def _short_road_csv(tmp_path):
+    """The speed CSV with a third road C whose samples stop before 05:30."""
+    path = tmp_path / "short.csv"
+    lines = road_csv_text({"A": 50.0, "B": 40.0, "C": 30.0}, 80)
+    path.write_text(
+        "".join(
+            l for l in lines.splitlines(keepends=True)
+            if not (",C," in l and l >= "2024-03-01T05:30")
+        )
+    )
+    return str(path)
+
+
+def _paths_json(tmp_path, time="2024-03-01T05:30:00", paths=(("A", "B"),)):
     path = tmp_path / "paths.json"
     path.write_text(
         json.dumps(
             {
                 "incident": {"road": "A", "time": time},
-                "paths": [["A", "B"]],
+                "paths": [list(p) for p in paths],
             }
         )
     )
@@ -260,6 +273,10 @@ class TestOutputBytes:
             "dfc5570f098eaf320d0d95718664b7e509dfd3b545a56064084a321d33b54c61",
             "5401b0083e0481346ceb8e3aaf1f90c8b747d4dbe9dfc1dd8ee0de05567ffd32",
         ),
+        "grid-search-skipped": (
+            "2d756d282f9763322655548c0280af89c183ac69b96b1badb6e6dd3e584df83e",
+            "914bd1a89ef2e358b77b05dbe98bab9dd27319c1026e56abccdcc347dd378e4f",
+        ),
         "batch-sim": (
             "eb2c49f8a6691e8ff0180a8636c598b7199bcae3fe308846b288b7881cfd99cf",
             "6106f3a5ff75671f37858a257c3667ac2401584f395339211971f4b24333b61e",
@@ -267,6 +284,10 @@ class TestOutputBytes:
         "path-analyze-json": (
             "de9a870c898a91214d94690c362f637d25b2fb13b01e834f02e8ec1d0493c527",
             "a7920904c9ec7747e0e6fc8bed4bb95a1f4473a62b825273c3667d542f9ca7f1",
+        ),
+        "path-analyze-failed-hop": (
+            "5042b8217ab0fc8ae4f2ce82634536683a1bb191ed938932184762ef0573e46a",
+            "e313e27d0d78f1405c8cda59bf994178d8841e042190b57637a3c8d4e98278d1",
         ),
         "path-analyze-csv": (
             "59816828e5e153a7aaa877da51cfa67622926158c36823c5c918f35d89db74ba",
@@ -285,10 +306,18 @@ class TestOutputBytes:
             return ["grid-search", "--csv", _speed_csv(tmp_path), "--source", "A",
                     "--target", "B", "--lengths", "60", "80", "--windows", "10",
                     "full", "--out"], "grid.json"
+        if case == "grid-search-skipped":  # length 100 exceeds the 80 samples
+            return ["grid-search", "--csv", _speed_csv(tmp_path), "--source", "A",
+                    "--target", "B", "--lengths", "60", "100", "--windows", "10",
+                    "--out"], "grid.json"
         if case == "batch-sim":
             return ["batch-sim", "--lags", "5", "10", "-R", "2", "--methods",
                     "none", "nonlinear", "-v", "--out"], "batch.csv"
         window = ["--paths", _paths_json(tmp_path), "--before", "20", "--after", "40"]
+        if case == "path-analyze-failed-hop":  # hop 2's road C ends too early
+            spec = _paths_json(tmp_path, paths=[["A", "B", "C"]])
+            return ["path-analyze", "--csv", _short_road_csv(tmp_path), "--paths",
+                    spec, "--before", "20", "--after", "40", "--out"], "report.json"
         if case == "path-analyze-json":
             return ["path-analyze", "--csv", _gappy_csv(tmp_path)] + window + [
                 "--out"], "report.json"
