@@ -32,7 +32,6 @@ from .estimator import estimate_delay, grid_search
 from .network import (
     RoadNetworkInput,
     analyze_paths,
-    config_to_dict,
     emit_report,
     load_path_spec,
     load_speed_csv,
@@ -156,7 +155,7 @@ def _echo_config(config: PipelineConfig, threads: Optional[int]) -> None:
 
 
 def _provenance_comment(config: PipelineConfig) -> str:
-    return "# config " + json.dumps(config_to_dict(config), separators=(",", ":"))
+    return "# config " + json.dumps(config, separators=(",", ":"), default=vars)
 
 
 def _write_out(path, text: str, what: str) -> None:
@@ -228,12 +227,13 @@ def cmd_estimate(args, config: PipelineConfig, threads: int) -> int:
         payload = {
             "format": "delay-estimate",
             "version": 1,
-            "config": config_to_dict(config),
+            "config": config,
             "source": args.source,
             "target": args.target,
-            "sample": sample.to_dict(),
+            "sample": sample,
         }
-        _write_out(args.out, json.dumps(payload, indent=2) + "\n", "estimate")
+        text = json.dumps(payload, indent=2, default=vars) + "\n"
+        _write_out(args.out, text, "estimate")
     return EXIT_OK
 
 
@@ -256,13 +256,13 @@ def cmd_grid_search(args, config: PipelineConfig, threads: int) -> int:
         payload = {
             "format": "grid-search",
             "version": 1,
-            "config": config_to_dict(config),
+            "config": config,
             "grid": [
                 {
                     "length": length,
                     "window": window,
                     "score": score,
-                    "sample": sample.to_dict(),
+                    "sample": sample,
                 }
                 for (length, window), score, sample in zip(
                     result.grid, result.scores, result.samples
@@ -274,7 +274,7 @@ def cmd_grid_search(args, config: PipelineConfig, threads: int) -> int:
                 for (length, window), reason in result.skipped
             ],
         }
-        _write_out(args.out, json.dumps(payload, indent=2) + "\n", "grid")
+        _write_out(args.out, json.dumps(payload, indent=2, default=vars) + "\n", "grid")
     return EXIT_OK
 
 

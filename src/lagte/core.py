@@ -324,6 +324,11 @@ class PipelineConfig:
         return replace(self, **kwargs)
 
 
+def _json_fields(record) -> dict:
+    """A dataclass record's fields in declaration order, tuples as lists."""
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(record).items()}
+
+
 def _z_value(level: float) -> float:
     # The conventional 1.96 is used for the 95% level; other levels fall back
     # to the exact standard normal quantile, ``ndtri``.
@@ -392,13 +397,7 @@ class LagSample:
 
     def to_dict(self) -> dict:
         """JSON-ready form; ``from_dict`` reads it back exactly."""
-        return {
-            "lags": list(self.lags),
-            "mu_hat": self.mu_hat,
-            "sigma2_hat": self.sigma2_hat,
-            "stderr": self.stderr,
-            "ci95": list(self.ci95),
-        }
+        return _json_fields(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "LagSample":

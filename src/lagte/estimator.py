@@ -54,8 +54,10 @@ import math
 import os
 import threading
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
@@ -342,13 +344,19 @@ def _submit_shares(runs, parts: int) -> list:
         return submit()
 
 
-def _run_share(groups, part: int, parts: int) -> list:
+def _run_share(groups, part: int, parts: int) -> tuple:
     """``_run_replicates`` of each group (its arguments but the indices) over
-    its share ``part`` of ``parts``, the replicates ``range(B)[part::parts]``."""
-    return [
-        _run_replicates(*group, range(group[2][0].boot_reps)[part::parts])
-        for group in groups
-    ]
+    its share ``part`` of ``parts``, the replicates ``range(B)[part::parts]``,
+    and, run in a pool process, each warning it raised as ``(message, category,
+    filename, lineno)`` for the caller to reissue; the caller runs share 0."""
+    with warnings.catch_warnings(record=True) if part else nullcontext([]) as caught:
+        if part:
+            warnings.simplefilter("always")
+        outcomes = [
+            _run_replicates(*group, range(group[2][0].boot_reps)[part::parts])
+            for group in groups
+        ]
+    return outcomes, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
 def _gather_replicates(shares, reps: int, level: float) -> list:
@@ -357,19 +365,15 @@ def _gather_replicates(shares, reps: int, level: float) -> list:
     ``shares`` holds a group's outcomes of each ``_run_share``, in order.  A
     failed outcome reports the error of its earliest failing share.
     """
-    rows = [{} for _ in shares[0]]
-    failures = [[] for _ in shares[0]]
-    for k, outcomes in enumerate(shares):
-        for i, (share_rows, failure) in enumerate(outcomes):
-            rows[i].update(zip(range(reps)[k :: len(shares)], share_rows))
-            if failure is not None:
-                failures[i].append(failure)
     out = []
-    for i in range(len(rows)):
-        if failures[i]:
-            out.append(min(failures[i], key=lambda f: f[0])[1])
+    for i in range(len(shares[0])):
+        failures = [s[i][1] for s in shares if s[i][1] is not None]
+        if failures:
+            out.append(min(failures, key=lambda f: f[0])[1])
             continue
-        ordered = [rows[i][b] for b in sorted(rows[i])]
+        ordered = [None] * reps
+        for k, outcomes in enumerate(shares):
+            ordered[k :: len(shares)] = outcomes[i][0]
         lags = tuple(int(r[0]) for r in ordered)
         details = EstimateDetails(
             lags=lags,
@@ -462,8 +466,14 @@ def estimate_delays(
     parts = min(workers or 1, reps)
     futures = _submit_shares(runs, parts)
     shares = [_run_share(runs, 0, parts)] + [f.result() for f in futures]
+    # a share's warnings come from ``_code`` here (``encode`` warns one frame
+    # up), so they go through this module's registry, as share 0's did
+    registry = globals().setdefault("__warningregistry__", {})
+    for _, caught in shares:
+        for w in caught:
+            warnings.warn_explicit(*w, __name__, registry)
     for g, (key, (*_, members)) in enumerate(groups.items()):
-        outcomes = _gather_replicates([s[g] for s in shares], key[-1], level)
+        outcomes = _gather_replicates([s[0][g] for s in shares], key[-1], level)
         for job_indices, outcome in zip(members.values(), outcomes):
             for i in job_indices:
                 results[i] = outcome

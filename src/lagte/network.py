@@ -37,6 +37,7 @@ from .core import (
     _check_int,
     _check_number,
     _is_real,
+    _json_fields,
 )
 # estimate_delay is no longer called here, but it stays a module attribute:
 # perfbench/tracing.py wraps it by this name
@@ -162,19 +163,21 @@ def _not_utf8(data: bytes, exc: UnicodeDecodeError) -> ParseError:
     )
 
 
-def _read_utf8(path) -> str:
-    """The text of a UTF-8 file; other bytes fail with the line they are on."""
+def _read_json(path):
+    """The JSON value of a UTF-8 file; a fault is a ``ParseError`` on its line."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8")
+        return json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise _not_utf8(data, exc)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}", line=exc.lineno)
 
 
 def _utf8_lines(path):
     """Yield a UTF-8 file's lines as ``open(path, newline="")`` does; other
-    bytes fail as in ``_read_utf8``, once every whole line before them has
+    bytes fail as in ``_read_json``, once every whole line before them has
     been yielded."""
     done = 0
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -551,13 +554,7 @@ def analyze_paths(
 
 def config_to_dict(config: PipelineConfig) -> dict:
     """JSON-ready dict of a configuration, field by field."""
-    out = {}
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if isinstance(value, tuple):
-            value = list(value)
-        out[f.name] = value
-    return out
+    return _json_fields(config)
 
 
 def config_from_dict(data: Mapping) -> PipelineConfig:
@@ -572,27 +569,6 @@ def config_from_dict(data: Mapping) -> PipelineConfig:
             value = tuple(value)
         kwargs[key] = value
     return PipelineConfig(**kwargs)
-
-
-def _report_to_dict(report: PathReport) -> dict:
-    hops = []
-    for hop in report.hops:
-        hops.append(
-            {
-                "hop": hop.hop,
-                "source": hop.source,
-                "target": hop.target,
-                "sample": None if hop.sample is None else hop.sample.to_dict(),
-                "histogram": [list(pair) for pair in hop.histogram],
-                "causality_flag": hop.causality_flag,
-                "error": hop.error,
-            }
-        )
-    return {
-        "path": list(report.path),
-        "hops": hops,
-        "config": config_to_dict(report.config),
-    }
 
 
 def _report_from_dict(data: Mapping) -> PathReport:
@@ -635,9 +611,9 @@ def emit_report(
         payload = {
             "format": REPORT_FORMAT,
             "version": REPORT_VERSION,
-            "reports": [_report_to_dict(r) for r in reports],
+            "reports": list(reports),
         }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(payload, indent=2, default=vars) + "\n"
     elif format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -694,10 +670,7 @@ def emit_report(
 
 def read_report_json(path) -> Tuple[PathReport, ...]:
     """Parse a JSON report file back into :class:`PathReport` objects."""
-    try:
-        payload = json.loads(_read_utf8(path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", line=exc.lineno)
+    payload = _read_json(path)
     if not isinstance(payload, dict) or payload.get("format") != REPORT_FORMAT:
         raise ParseError(f"not a {REPORT_FORMAT} file")
     try:
@@ -716,10 +689,7 @@ def load_path_spec(path) -> Tuple[str, datetime, Tuple[Tuple[str, ...], ...]]:
 
     Returns ``(incident_road, incident_time, paths)``.
     """
-    try:
-        payload = json.loads(_read_utf8(path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", line=exc.lineno)
+    payload = _read_json(path)
     if not isinstance(payload, dict):
         raise ParseError("path spec must be a JSON object")
     try:

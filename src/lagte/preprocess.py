@@ -258,7 +258,8 @@ def normalize(
     A 2-D ``series`` is a block of equal-length series, one per row; each
     output row equals that row's own call bit for bit.
     ``InvalidArgumentError`` rejects a window that is neither a positive
-    integer nor ``"full"`` and, for ``nonlinear``, input containing NaN.
+    integer nor ``"full"``; for ``nonlinear``, input containing NaN; and for
+    ``nonlinear`` and ``zscore``, a step that overflows or is invalid.
 
     Returns
     -------
@@ -277,42 +278,46 @@ def normalize(
 
     block = values.reshape(-1, values.shape[-1])
     out = np.zeros(block.shape)
-    if method == "nonlinear":
-        if np.isnan(values).any():
-            # NaN would sort past the padding and corrupt the window quartiles
-            raise InvalidArgumentError(
-                "nonlinear normalization needs a series without NaN"
-            )
-        f25, f50, f75 = _window_quartiles(block, w)
-        iqr = f75 - f25
-        # a subnormal IQR overflows z to inf, which the clamp below absorbs
-        with np.errstate(over="ignore"):
-            np.divide(0.5 * (block - f50), iqr, out=out, where=iqr != 0.0)
-        # ndtr saturates to exactly 0 or 1 for |z| beyond ~8.3; pull the
-        # result back inside the open interval the contract promises
-        np.clip(ndtr(out), _CDF_FLOOR, _CDF_CEIL, out=out)
-    elif method == "minmax":
+    if method == "minmax":
         top = np.empty(block.shape)
         for rows, cols, windows in _window_blocks(block, w, -np.inf):
             top[rows, cols] = windows.max(axis=-1)
         # a subnormal maximum overflows the ratio to +-inf, which is kept
         with np.errstate(over="ignore"):
             np.divide(block, top, out=out, where=top != 0.0)
-    else:  # zscore
-        # a padded mean/std would sum in another order, so only the steps
-        # past the warm-up, whose windows are full, are reduced by blocks
-        width = _window_width(w, block.shape[1])
-        for t in range(width - 1):
-            window = block[:, : t + 1]
-            sd = window.std(axis=1)
-            centered = block[:, t] - window.mean(axis=1)
-            np.divide(centered, sd, out=out[:, t], where=sd != 0.0)
-        for rows, cols, windows in _window_blocks(block, w, 0.0):
-            full = slice(max(cols.start, width - 1), cols.stop)
-            windows = windows[:, full.start - cols.start :]
-            sd = windows.std(axis=2)
-            centered = block[rows, full] - windows.mean(axis=2)
-            np.divide(centered, sd, out=out[rows, full], where=sd != 0.0)
+        return out.reshape(values.shape)
+    if method == "nonlinear" and np.isnan(values).any():
+        # NaN would sort past the padding and corrupt the window quartiles
+        raise InvalidArgumentError("nonlinear normalization needs a series without NaN")
+    # an overflow or invalid step would end in NaN, or in a silent 0, later
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            if method == "nonlinear":
+                f25, f50, f75 = _window_quartiles(block, w)
+                iqr = f75 - f25
+                # a subnormal IQR overflows z to inf, which the clamp below absorbs
+                with np.errstate(over="ignore"):
+                    np.divide(0.5 * (block - f50), iqr, out=out, where=iqr != 0.0)
+                # ndtr saturates to exactly 0 or 1 for |z| beyond ~8.3; pull the
+                # result back inside the open interval the contract promises
+                np.clip(ndtr(out), _CDF_FLOOR, _CDF_CEIL, out=out)
+            else:  # zscore
+                # a padded mean/std would sum in another order, so only the steps
+                # past the warm-up, whose windows are full, are reduced by blocks
+                width = _window_width(w, block.shape[1])
+                for t in range(width - 1):
+                    window = block[:, : t + 1]
+                    sd = window.std(axis=1)
+                    centered = block[:, t] - window.mean(axis=1)
+                    np.divide(centered, sd, out=out[:, t], where=sd != 0.0)
+                for rows, cols, windows in _window_blocks(block, w, 0.0):
+                    full = slice(max(cols.start, width - 1), cols.stop)
+                    windows = windows[:, full.start - cols.start :]
+                    sd = windows.std(axis=2)
+                    centered = block[rows, full] - windows.mean(axis=2)
+                    np.divide(centered, sd, out=out[rows, full], where=sd != 0.0)
+    except FloatingPointError as exc:
+        raise InvalidArgumentError(f"{method} normalization failed: {exc}") from None
     return out.reshape(values.shape)
 
 

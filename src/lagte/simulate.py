@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 from typing import Optional, Sequence, Tuple
 
@@ -108,13 +108,9 @@ def generate_pair(spec: SimSpec) -> Tuple[SpeedSeries, SpeedSeries]:
         else:
             x[t] = 1.10 * x[t - 1] + eps_x[t]
 
-    y = np.empty(length)
-    for t in range(length):
-        if t < level_break:
-            y[t] = 70.0 + eps_y[t]
-        else:
-            lagged = x[t - spec.u0] if t - spec.u0 >= 0 else 100.0
-            y[t] = 0.5 * lagged + 20.0 + eps_y[t]
+    lagged = np.concatenate((np.full(spec.u0, 100.0), x[: length - spec.u0]))
+    t = np.arange(length)
+    y = np.where(t < level_break, 70.0 + eps_y, 0.5 * lagged + 20.0 + eps_y)
     return (
         SpeedSeries(x, label="source"),
         SpeedSeries(y, label="target"),
@@ -158,38 +154,17 @@ class BatchReport:
     config: PipelineConfig
     replicates: int
 
-    _COLUMNS = (
-        "u0",
-        "noise_sigma",
-        "method",
-        "window",
-        "replicates",
-        "mean_sigma_hat",
-        "std_sigma_hat",
-        "mean_mae",
-        "std_mae",
-        "failures",
-    )
-
     def to_csv(self, path: Optional[str] = None) -> str:
         """Write the cell table as CSV; returns the text."""
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(self._COLUMNS)
+        writer.writerow(f.name for f in fields(BatchCell))
         for cell in self.cells:
             writer.writerow(
-                [
-                    cell.u0,
-                    repr(cell.noise_sigma),
-                    cell.method,
-                    cell.window,
-                    cell.replicates,
-                    repr(cell.mean_sigma_hat),
-                    repr(cell.std_sigma_hat),
-                    repr(cell.mean_mae),
-                    repr(cell.std_mae),
-                    len(cell.failures),
-                ]
+                len(v) if isinstance(v, tuple)
+                else repr(v) if isinstance(v, float)
+                else v
+                for v in vars(cell).values()
             )
         text = buffer.getvalue()
         if path is not None:

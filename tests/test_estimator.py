@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import warnings
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from datetime import datetime, timedelta
@@ -479,6 +480,27 @@ class TestOverflowingSeries:
         values, _ = estimator._walk(trend, model, config.seed, 0, TAG_SOURCE_BOOT)
         assert np.isfinite(values).all()
 
+    @pytest.mark.parametrize(
+        "method, step",
+        [("nonlinear", "overflow encountered in subtract"),
+         ("zscore", "overflow encountered in square")],
+    )
+    def test_series_just_below_the_limit_fails_at_normalize(self, method, step):
+        # its walks are finite, but their window statistics overflow
+        near = self.HUGE / 1.5e308 * 8e307
+        config = fast_config(
+            boot_reps=3, shuffle_reps=2, lag_max=5, residual_states=3,
+            norm_method=method,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError) as exc:
+                estimate_delay(near, near[::-1], config)
+            assert str(exc.value) == f"{method} normalization failed: {step}"
+            for other in ("minmax", "none"):
+                other_config = config.with_overrides(norm_method=other)
+                estimate_delay(near, near[::-1], other_config)
+
 
 class TestOnePoolPerCall:
     def test_estimate_delay(self, sim_pair, pool_starts):
@@ -779,6 +801,27 @@ class TestShares:
                 assert isinstance(outcome, InvalidArgumentError)
                 assert str(outcome) == "walk 2 refused"
             assert got[::3] == want
+
+    @pytest.mark.parametrize("action", ["always", "default"])
+    def test_warnings_are_the_same_at_any_worker_count(self, action):
+        # each replicate codes two constant walks under method none: two
+        # "degenerate data" warnings per replicate, most raised in pool
+        # processes; "default" shows each warning once, whichever share
+        # raised it
+        config = fast_config(
+            norm_method="none", shuffle_reps=3, lag_max=6, residual_states=2
+        )
+        seen = []
+        for workers in (1, 2, 3):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                estimate_delay(
+                    np.full(120, 50.0), np.full(120, 40.0), config, workers=workers
+                )
+            seen.append(Counter((w.category, str(w.message)) for w in caught))
+        degenerate = [n for (_, m), n in seen[0].items() if "degenerate" in m]
+        assert degenerate == [16 if action == "always" else 1]
+        assert seen[1] == seen[0] and seen[2] == seen[0]
 
 
 def _stub_for_scores(monkeypatch, score_by_window, reps=100):

@@ -906,6 +906,18 @@ class TestEmitReport:
         with pytest.raises(InvalidArgumentError):
             emit_report(self._reports(), format="xml")
 
+    @pytest.mark.parametrize("read", [read_report_json, load_path_spec])
+    def test_json_readers_name_the_faulty_line(self, tmp_path, read):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{\n  "format": 1,\n  "reports" []\n}\n')
+        with pytest.raises(ParseError, match="invalid JSON") as err:
+            read(str(path))
+        assert err.value.line == 3
+        path.write_bytes(b'{\n  "format": "\xff"\n}\n')
+        with pytest.raises(ParseError, match="UTF-8") as err:
+            read(str(path))
+        assert err.value.line == 2
+
     def test_read_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text('{"hello": 1}')

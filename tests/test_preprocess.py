@@ -177,6 +177,24 @@ class TestNormalize:
             out = normalize([2.2e-311, -1.0], "minmax", w=2)
         assert out.tolist() == [1.0, -np.inf]
 
+    @pytest.mark.parametrize(
+        "method, values, step",
+        [
+            # the squares of the window deviations overflow, so every step
+            # would standardize to 0
+            ("zscore", [1e200, -1e200] * 10, "overflow encountered in square"),
+            ("zscore", [1.0, np.inf, 2.0], "invalid value encountered in subtract"),
+            # the window quartiles' spread overflows, so the IQR would be NaN
+            ("nonlinear", [1e308, -1e308] * 10, "overflow encountered in subtract"),
+        ],
+    )
+    def test_overflow_fails_naming_the_method(self, method, values, step):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError) as err:
+                normalize(values, method, w=5)
+        assert str(err.value) == f"{method} normalization failed: {step}"
+
     @given(series=st.one_of(finite_series, tied_series))
     @settings(max_examples=150, deadline=None)
     def test_window_quartiles_match_per_step_percentile(self, series):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lagte import InvalidArgumentError, SimSpec, generate_pair, run_batch
+from lagte.core import TAG_SIMULATION, derive_replicate_rng
 from lagte.simulate import mae
 from conftest import fast_config
 
@@ -99,6 +100,25 @@ class TestGeneratePair:
         # the growth factor amplifies the level away from zero; the sign
         # depends on where the decay landed
         assert abs(x[-1]) > abs(x[95])
+
+    @pytest.mark.parametrize("u0", [1, 5, 10, 30, 100])
+    @pytest.mark.parametrize("length", [120, 131, 240])
+    def test_target_equals_per_sample_loop(self, u0, length):
+        # the loop that the array form of the target replaces
+        level_break = max(1, round(length * 10 / 120))
+        for seed in range(5):
+            source, target = generate_pair(SimSpec(u0, 1.0, length, seed))
+            rng = derive_replicate_rng(seed, 0, TAG_SIMULATION)
+            rng.normal(0.0, 1.0, length)  # the source's noise
+            eps_y = rng.normal(0.0, 1.0, length)
+            x, y = source.values, np.empty(length)
+            for t in range(length):
+                if t < level_break:
+                    y[t] = 70.0 + eps_y[t]
+                else:
+                    lagged = x[t - u0] if t - u0 >= 0 else 100.0
+                    y[t] = 0.5 * lagged + 20.0 + eps_y[t]
+            assert target.values.tobytes() == y.tobytes()
 
 
 class TestMae:
