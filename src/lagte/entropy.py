@@ -35,15 +35,21 @@ The shuffle draw does not depend on the source either, only on the
 length, the lag count and the surrogate count: sources of one such shape
 (say, one series coded under several configs) share one draw of permuted
 indices, and counts of one shape share one TE pass.  ``best_lags_shared``
-is the one front door for lag scans: it validates each item, groups the
-items into draws by shape, and gives every target exactly what
+is the checked front door for lag scans: it validates each item, groups
+the items into draws by shape, and gives every target exactly what
 ``best_lag`` would give it from the same ``rng`` state.  ``best_lag`` is
-its one-item, one-target case.  Every scan is validated by ``_scan_item``
-and run by ``_scan_draw``.
+its one-item, one-target case.  The estimator scans a whole block of
+bootstrap replicates in one ``_scan_block`` call instead: it checks and
+codes the block's ``(replicates, length)`` symbol arrays once, draws
+each replicate from its own generator, plans and counts several
+replicates at a time, and returns each replicate's winning lag and ETE
+as arrays, with the bytes that one ``best_lags_shared`` call per
+replicate gives.  Both run every scan through ``_scan_draw``.
 
-A scan's largest arrays -- the shuffled index rows, the gathered
-weights, the count tensors and the TE pass's terms, denominators,
-empty-cell indicators and spread marginals -- are views of one workspace
+A scan's largest arrays -- the planned source weights and target
+one-hots, the shuffled index rows, the gathered weights, the count
+tensors, the TE pass's terms, denominators, empty-cell indicators and
+spread marginals, and a block's scan array -- are views of one workspace
 per thread (``_scratch``), written through ``out=`` or by assignment.
 Repeated scans thus reuse the same memory instead of asking the
 allocator for a few hundred kilobytes per block, which glibc maps and
@@ -61,7 +67,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     InvalidArgumentError,
@@ -185,6 +190,16 @@ def _as_codes(series: SymbolsLike, name: str) -> np.ndarray:
         raise InvalidArgumentError(f"{name} must be nonempty")
     _, codes = np.unique(values, return_inverse=True)
     return codes.astype(np.int64)
+
+
+def _dense_codes(block: np.ndarray) -> np.ndarray:
+    """Each row of a 2-d integer block as ``_as_codes`` codes it, its
+    ``np.unique(row, return_inverse=True)`` codes, all rows in one pass."""
+    shifted = block - block.min(axis=1, keepdims=True)
+    present = np.zeros((block.shape[0], int(shifted.max()) + 1), bool)
+    rows = np.arange(block.shape[0])[:, None]
+    present[rows, shifted] = True
+    return (np.cumsum(present, axis=1) - 1)[rows, shifted]
 
 
 def _scan_item(
@@ -315,82 +330,109 @@ def _shuffled_rows(rows: np.ndarray, rng) -> None:
 
 
 def _product_plan(
-    src: np.ndarray, tgts: Sequence[np.ndarray], lags: np.ndarray, bits: int
+    srcs: np.ndarray, tgts: np.ndarray, owners: np.ndarray, lag_max: int, bits: int
 ) -> tuple:
-    """What ``_scan_draw`` needs of one scan, built once per draw.
+    """What ``_scan_draw`` needs of its scans, built for all of them at once.
 
-    Returns ``(weights, onehot, shapes)``.  Source symbol ``c`` is digit
-    ``c % per`` of group ``c // per``, with ``per = _EXACT_BITS // bits``
-    (at least 1); ``weights[g]`` is the source with each symbol of group
-    ``g`` replaced by ``2 ** (bits * digit)`` and every other symbol by 0.
-    ``onehot[u - 1]`` is the ``(L, K)`` indicator of the target pair
-    aligned with each source position at lag ``u``, zero past ``L - u``.
-    Its columns hold each target's ``n_t * n_t`` pairs in turn, the
-    targets ordered by ``n_t``; ``shapes`` lists ``(n_t, targets)`` per
-    alphabet size in that order.
+    ``srcs`` holds one scan's source per row, ``tgts`` one target per row
+    and ``owners`` each target's scan, all as dense codes.  Returns
+    ``(weights, onehot, cols, n_syms, passes)``.  Source symbol ``c`` is
+    digit ``c % per`` of group ``c // per``, with ``per = _EXACT_BITS //
+    bits`` (at least 1); ``weights[i, g]`` is scan ``i``'s source with each
+    symbol of group ``g`` replaced by ``2 ** (bits * digit)`` and every
+    other symbol by 0, and ``n_syms[i]`` its alphabet size.  ``onehot[u -
+    1]`` is the ``(L, K)`` indicator of the target pair aligned with each
+    source position at lag ``u``, zero past ``L - u``.  Its columns hold
+    each target's ``n_t * n_t`` pairs in turn, scan by scan, each scan's
+    targets ordered by ``n_t``; scan ``i``'s are ``cols[i]``.  ``passes``
+    maps each ``(n_t, n_s)`` alphabet shape to its members ``(scan, first
+    column within the scan, targets)``.  Both arrays are workspace views.
     """
-    length = src.size
+    length = srcs.shape[1]
     per = max(1, _EXACT_BITS // bits)
-    power = np.ldexp(1.0, bits * (src % per))
-    weights = [
-        np.where(src // per == g, power, 0.0) for g in range(int(src.max()) // per + 1)
-    ]
-    n_ts = [int(tgt.max()) + 1 for tgt in tgts]
-    shapes = {}
-    for k in sorted(range(len(tgts)), key=n_ts.__getitem__):
-        shapes.setdefault(n_ts[k], []).append(k)
-    padded = np.zeros((length + int(lags[-1]) - 1, sum(n * n for n in n_ts)))
-    offset = 0
-    for n_t, ks in shapes.items():
-        for k in ks:
-            pairs = tgts[k][1:] * n_t + tgts[k][:-1]
-            padded[np.arange(length - 1), offset + pairs] = 1.0
-            offset += n_t * n_t
-    onehot = sliding_window_view(padded, length, axis=0).transpose(0, 2, 1)
-    return weights, onehot, list(shapes.items())
+    n_syms, n_ts = srcs.max(axis=1) + 1, tgts.max(axis=1) + 1
+    groups = int(n_syms.max() - 1) // per + 1
+    weights = _scratch("plan_weights", (len(srcs), groups, length))
+    power = np.ldexp(1.0, bits * (srcs % per))
+    for g in range(weights.shape[1]):
+        weights[:, g] = np.where(srcs // per == g, power, 0.0)
+    order = np.lexsort((n_ts, owners))  # by scan, then stably by n_t
+    widths = n_ts[order] ** 2
+    ends = np.cumsum(widths)
+    padded = _scratch("plan_onehot", (length + lag_max - 1, int(ends[-1])))
+    padded.fill(0.0)
+    pairs = tgts[order, 1:] * n_ts[order, None] + tgts[order, :-1]
+    padded[np.arange(length - 1), pairs + (ends - widths)[:, None]] = 1.0
+    onehot = np.ndarray(
+        (lag_max, length, padded.shape[1]),
+        float,
+        padded,
+        strides=padded.strides[:1] + padded.strides,
+    )
+    stops = np.cumsum(np.bincount(owners, n_ts**2).astype(int)).tolist()
+    cols = [slice(a, b) for a, b in zip([0] + stops[:-1], stops)]
+    passes = {}  # (n_t, n_s) -> [(scan, first column, targets)]
+    for t, i, n_t, first in zip(
+        order.tolist(),
+        owners[order].tolist(),
+        n_ts[order].tolist(),
+        (ends - widths).tolist(),
+    ):
+        members = passes.setdefault((n_t, int(n_syms[i])), [])
+        # a scan's targets of one n_t are adjacent, so they form one member
+        if members and members[-1][0] == i:
+            members[-1][2].append(t)
+        else:
+            members.append((i, first - cols[i].start, [t]))
+    return weights, onehot, cols, n_syms.tolist(), passes
 
 
-def _scan_draw(scans: Sequence[tuple], shuffles: int, rng) -> list:
+def _scan_draw(scans: Sequence[tuple], shuffles: int, rng, out=None) -> list:
     """Transfer entropy of each scan's source and surrogates against each
-    of its targets, from one shuffle draw, counted by matrix products.
+    of its targets, from shared shuffle draws, counted by matrix products.
 
-    ``scans`` holds validated ``(src, tgts, lags)`` items of ``_scan_item``
-    with sources of one length and lag ranges of one size.  Returns, per
-    scan, one ``(len(lags), shuffles + 1)`` array per target; column 0 is
-    the source itself, the rest are its surrogates.  Each scan gets the
-    bytes it would get alone from ``rng`` in the state this call found it
-    in, and ``rng`` advances as that one scan would advance it.
+    ``scans`` holds ``(src, tgts, lags)`` items of dense codes, as
+    ``_scan_item`` validates them, with sources of one length and lag
+    ranges of one size.  ``rng`` is one generator for every scan, or a
+    list of one per scan; scans given one generator share its draw.
+    Returns, per scan, one ``(len(lags), shuffles + 1)`` array per target,
+    column 0 the source itself and the rest its surrogates, as views of
+    ``out`` (every target's in scan order) or of a fresh array.  Each scan
+    gets the bytes it would get alone from its generator in the state this
+    call found it in, and each generator advances as that one scan would.
 
     The lags are drawn in blocks of at most ``_COUNT_CELLS`` rows by
     ``max(L, count cells)`` (and at least one lag), each block in lag
     order, which is the stream one draw of every lag gives.  A block draws
-    one index array and each scan gathers its weights through it.  A
-    ``matmul`` of one group's weight rows against a scan's aligned one-hot
-    gives, per row and target pair, the sum of ``count * 2 ** (bits *
-    digit)`` over the group's symbols.  ``bits = (L - 1).bit_length()`` and
-    each count is at most ``L - 1``, so the digits do not overlap, and
-    every partial sum is an integer below ``2 ** 53``, so the products are
-    exact in any order of summation.  Per symbol, one shift and one mask
-    decode the count.  The counts of as many blocks as ``_COUNT_CELLS``
-    count cells hold go through one TE pass per ``(n_t, n_s)`` alphabet
-    shape, which spans every scan and target of that shape.  The index
-    rows, the gathered weights and the counts are views of this thread's
-    workspace, taken once per call.
+    one index array per generator, and each of its scans gathers its
+    weights through it.  A ``matmul`` of one group's weight rows against a
+    scan's aligned one-hot gives, per row and target pair, the sum of
+    ``count * 2 ** (bits * digit)`` over the group's symbols.  ``bits = (L
+    - 1).bit_length()`` and each count is at most ``L - 1``, so the digits
+    do not overlap, and every partial sum is an integer below ``2 ** 53``,
+    so the products are exact in any order of summation.  Per symbol, one
+    shift and one mask decode the count.  The counts of as many blocks as
+    ``_COUNT_CELLS`` count cells hold go through one TE pass per ``(n_t,
+    n_s)`` alphabet shape, which spans every scan and target of that shape
+    and sums each row on its own.  The plan, the index rows, the gathered
+    weights and the counts are views of this thread's workspace.
     """
     n_lags, length = scans[0][2].size, scans[0][0].size
     reps = shuffles + 1
     bits = (length - 1).bit_length()
     per = max(1, _EXACT_BITS // bits)
-    plans = [_product_plan(src, tgts, lags, bits) for src, tgts, lags in scans]
-    n_syms = [int(src.max()) + 1 for src, *_ in scans]
-    passes = {}  # (n_t, n_s) -> (scan, its count columns, its targets)
-    for i, ((_, _, shapes), n_s) in enumerate(zip(plans, n_syms)):
-        offset = 0
-        for n_t, ks in shapes:
-            cols = slice(offset, offset + len(ks) * n_t * n_t)
-            passes.setdefault((n_t, n_s), []).append((i, cols, ks))
-            offset = cols.stop
-    widths = [onehot.shape[2] for _, onehot, _ in plans]  # count columns
+    n_tgts = [len(tgts) for _, tgts, _ in scans]
+    weights, onehot, cols, n_syms, passes = _product_plan(
+        np.stack([src for src, _, _ in scans]),
+        np.stack([tgt for _, tgts, _ in scans for tgt in tgts]),
+        np.repeat(np.arange(len(scans)), n_tgts),
+        max(int(lags[-1]) for *_, lags in scans),
+        bits,
+    )
+    draws = {}  # id of a generator -> (it, the scans that draw from it)
+    for i, gen in enumerate(rng if isinstance(rng, list) else [rng] * len(scans)):
+        draws.setdefault(id(gen), (gen, []))[1].append(i)
+    widths = [c.stop - c.start for c in cols]  # count columns
     cells = sum(n_s * k for k, n_s in zip(widths, n_syms))
     step = max(1, _COUNT_CELLS // (reps * max(length, cells)))
     span = step * max(1, _COUNT_CELLS // (reps * cells) // step)
@@ -403,28 +445,34 @@ def _scan_draw(scans: Sequence[tuple], shuffles: int, rng) -> list:
         size = span * reps * k * n_s
         counts.append(flat[offset : offset + size].reshape(span, reps, k, n_s))
         offset += size
-    out = [[np.empty((n_lags, reps)) for _ in tgts] for _, tgts, _ in scans]
+    if out is None:
+        out = np.empty((sum(n_tgts), n_lags, reps))
     for start in range(0, n_lags, span):
         stop = min(start + span, n_lags)
-        for lo in range(start, stop, step):
-            hi = min(lo + step, stop)
-            rows, gathered = index[: hi - lo], weight[: hi - lo]
-            _shuffled_rows(rows, rng)
-            for (_, _, lags), (weights, onehot, _), n_s, scan_counts in zip(
-                scans, plans, n_syms, counts
-            ):
-                block = onehot[lags[lo] - 1 : lags[hi - 1]]
-                block_counts = scan_counts[lo - start : hi - start]
-                for c in range(n_s):
-                    if c % per == 0:
-                        np.take(weights[c // per], rows, out=gathered, mode="wrap")
-                        packed = np.matmul(gathered, block).astype(np.int64)
-                    digit = packed >> (bits * (c % per))
-                    np.bitwise_and(digit, (1 << bits) - 1, out=block_counts[..., c])
+        for gen, members in draws.values():
+            for lo in range(start, stop, step):
+                hi = min(lo + step, stop)
+                rows, gathered = index[: hi - lo], weight[: hi - lo]
+                _shuffled_rows(rows, gen)
+                for i in members:
+                    lags, n_s = scans[i][2], n_syms[i]
+                    block = onehot[lags[lo] - 1 : lags[hi - 1], :, cols[i]]
+                    block_counts = counts[i][lo - start : hi - start]
+                    for c in range(n_s):
+                        if c % per == 0:
+                            np.take(
+                                weights[i, c // per], rows, out=gathered, mode="wrap"
+                            )
+                            packed = np.matmul(gathered, block).astype(np.int64)
+                        digit = packed >> (bits * (c % per))
+                        np.bitwise_and(digit, (1 << bits) - 1, out=block_counts[..., c])
         for (n_t, n_s), members in passes.items():
             # targets innermost: the counts of a scan of one alphabet shape
             # are its rows, without a copy when the pass has only them
-            lots = [counts[i][: stop - start, :, cols] for i, cols, _ in members]
+            lots = [
+                counts[i][: stop - start, :, first : first + len(ts) * n_t * n_t]
+                for i, first, ts in members
+            ]
             sizes = [lot.size // (n_t * n_t * n_s) for lot in lots]
             ends = np.cumsum(sizes)
             if len(lots) == 1 and lots[0].flags.c_contiguous:
@@ -434,15 +482,15 @@ def _scan_draw(scans: Sequence[tuple], shuffles: int, rng) -> list:
                 for lot, end, size in zip(lots, ends, sizes):
                     batch[end - size : end].reshape(lot.shape)[...] = lot
             totals = [
-                np.repeat(length - scans[i][2][start:stop], reps * len(ks))
-                for i, _, ks in members
+                np.repeat(length - scans[i][2][start:stop], reps * len(ts))
+                for i, _, ts in members
             ]
             te = _te_from_counts(batch, np.concatenate(totals).astype(float))
-            for (i, _, ks), part in zip(members, np.split(te, ends[:-1])):
-                part = part.reshape(stop - start, reps, len(ks))
-                for j, k in enumerate(ks):
-                    out[i][k][start:stop] = part[:, :, j]
-    return out
+            for (_, _, ts), part in zip(members, np.split(te, ends[:-1])):
+                part = part.reshape(stop - start, reps, len(ts))
+                out[ts, start:stop] = part.transpose(2, 0, 1)
+    bounds = np.cumsum([0] + n_tgts).tolist()
+    return [list(out[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def transfer_entropy(source: SymbolsLike, target: SymbolsLike, u: int) -> float:
@@ -556,6 +604,70 @@ def best_lags_shared(
         tes = _scan_draw(scans, shuffles, rng)
         for i, scan, per_target in zip(members, scans, tes):
             out[i] = [_pick_lag(scan[2], te) for te in per_target]
+    return out
+
+
+def _scan_block(items: Sequence[tuple], rngs: Sequence[np.random.Generator]) -> list:
+    """Per replicate of a block, the lag and ETE ``best_lags_shared`` picks.
+
+    ``items`` holds ``(source, targets, config)`` items of ``(R, L)``
+    integer blocks, row ``r`` from replicate ``r``, and ``rngs[r]`` is
+    replicate ``r``'s shuffle generator.  Returns, per item, ``(lags,
+    best_ete)`` arrays per target: what ``best_lags_shared`` of every
+    item's row ``r`` gives with ``rngs[r]``.  The blocks are checked and
+    coded once; the configs are trusted.  Items of one draw shape are
+    counted a chunk of replicates at a time, as many as ``_COUNT_CELLS``
+    count and plan cells hold, each generator restored to its first state.
+    """
+    blocks = np.stack([b for src, tgts, _ in items for b in (src, *tgts)])
+    size = len(rngs)
+    if blocks.ndim != 3 or blocks.shape[1] != size or blocks.dtype.kind not in "iu":
+        raise InvalidArgumentError("a block scan needs (R, L) integer blocks")
+    length = blocks.shape[2]
+    codes = _dense_codes(blocks.reshape(-1, length)).reshape(blocks.shape)
+    n_codes = codes.max(axis=2) + 1  # alphabet size per block and replicate
+    # item i's source is block bounds[i], its targets the blocks up to the next
+    bounds = np.cumsum([0] + [1 + len(tgts) for _, tgts, _ in items]).tolist()
+    draws = {}  # (lag count, shuffles) -> its items
+    for i, (*_, config) in enumerate(items):
+        _check_int(config.lag_max, "lag", 1, length - 2)
+        shape = (config.lag_max - config.lag_min + 1, config.shuffle_reps)
+        draws.setdefault(shape, []).append(i)
+    lag_ranges = [np.arange(c.lag_min, c.lag_max + 1) for *_, c in items]
+    states = [rng.bit_generator.state for rng in rngs] if len(draws) > 1 else None
+    out = [[(np.empty(size, int), np.empty(size)) for _ in t] for _, t, _ in items]
+    for (n_lags, shuffles), members in draws.items():
+        reps = shuffles + 1
+        tgt_rows = [k for i in members for k in range(bounds[i] + 1, bounds[i + 1])]
+        src_rows = [bounds[i] for i in members for _ in items[i][1]]
+        pairs = n_codes[tgt_rows] ** 2  # plan columns per target and replicate
+        cells = n_lags * reps * (n_codes[src_rows] * pairs).sum(axis=0)
+        plan = (length + max(items[i][2].lag_max for i in members) - 1) * pairs.sum(0)
+        chunk = max(1, _COUNT_CELLS // int(np.maximum(cells, plan).max()))
+        picks = [(lag_ranges[i], *pick) for i in members for pick in out[i]]
+        sides = [
+            (codes[bounds[i]], codes[bounds[i] + 1 : bounds[i + 1]], lag_ranges[i])
+            for i in members
+        ]
+        for lo in range(0, size, chunk):
+            rows = range(lo, min(lo + chunk, size))
+            if states:
+                for r in rows:
+                    rngs[r].bit_generator.state = states[r]
+            scans = [
+                (src[r], list(tgts[:, r]), lags)
+                for r in rows
+                for src, tgts, lags in sides
+            ]
+            scan = _scratch("scan", (len(rows), len(tgt_rows), n_lags, reps))
+            gens = [rngs[r] for r in rows for _ in members]
+            _scan_draw(scans, shuffles, gens, scan.reshape(-1, n_lags, reps))
+            ete = scan[..., 0] - scan[..., 1:].mean(axis=-1)
+            best = ete.argmax(axis=-1)
+            best_ete = np.take_along_axis(ete, best[..., None], -1)[..., 0]
+            for t, (lags, lag_out, ete_out) in enumerate(picks):
+                lag_out[rows.start : rows.stop] = lags[best[:, t]]
+                ete_out[rows.start : rows.stop] = best_ete[:, t]
     return out
 
 

@@ -22,10 +22,12 @@ form a group.  A block of a group's replicates runs stage by stage: it
 walks the source and each target a job needs once per replicate; under
 each config it normalizes and encodes all of the source's walks as one
 2-D block, and each needed target's walks as one block; then it scans
-each replicate in one ``best_lags_shared`` call, one item per config
-with its targets, on that replicate's own shuffle stream.  ``entropy``
-alone decides which configs share a shuffle draw (those of equal lag
-and shuffle counts); every config still gets the bytes of its own scan.
+the whole block in one ``entropy._scan_block`` call, one item per config
+with its targets' blocks, each replicate on its own shuffle stream, and
+keeps each replicate's winning lag and ETE.  ``entropy`` alone decides
+which configs share a shuffle draw (those of equal lag and shuffle
+counts) and how many replicates it counts at once; every config and
+replicate still gets the bytes of its own ``best_lags_shared`` scan.
 A replicate has one step that can fail, coding: a series whose walks
 could overflow fails its fit, and a checked job's scans are valid, so a
 job fails only when its source's or target's walks fail to code under
@@ -85,7 +87,7 @@ from .core import (
 )
 # best_lag is no longer called here, but it stays a module attribute:
 # perfbench/tracing.py wraps it by this name
-from .entropy import best_lag, best_lags_shared  # noqa: F401
+from .entropy import _scan_block, best_lag  # noqa: F401
 from .preprocess import decompose, encode, encode_fixed, normalize
 
 __all__ = [
@@ -174,12 +176,12 @@ def _walk(trend, model, seed: int, b: int, tag: int):
     return boot.values, diagnostics["restarts"]
 
 
-def _code(walks: dict, config: PipelineConfig):
+def _code(walks: list, config: PipelineConfig):
     """Normalize and code a block of walks under a config.
 
-    ``walks`` maps replicate indices to walks.  Returns a dict from the
-    same indices to symbol arrays, or the ``LagTEError`` the block's
-    coding raised.
+    ``walks`` lists a nonempty block's walks.  Returns their symbols as one
+    ``(walks, length)`` array, or the ``LagTEError`` the block's coding
+    raised.
     Normalizers place their output on a calibrated scale (the nonlinear
     method yields CDF values in (0, 1)), so the configured cutoffs act as
     fixed bounds there: a coded extreme means the same thing in every
@@ -187,21 +189,19 @@ def _code(walks: dict, config: PipelineConfig):
     and the cutoffs act as empirical quantile probabilities instead, taken
     per series.
     """
-    if not walks:
-        return {}
-    values = np.stack([walk[0] for walk in walks.values()])
+    values = np.stack([walk[0] for walk in walks])
     try:
         normalized = normalize(values, config.norm_method, config.window)
         if config.norm_method == "none":
-            symbols = [
-                encode(row, config.encode_bins, config.encode_quantiles).symbols
-                for row in normalized
-            ]
-        else:
-            symbols = encode_fixed(normalized, config.encode_quantiles).symbols
+            return np.stack(
+                [
+                    encode(row, config.encode_bins, config.encode_quantiles).symbols
+                    for row in normalized
+                ]
+            )
+        return encode_fixed(normalized, config.encode_quantiles).symbols
     except LagTEError as exc:
         return exc
-    return dict(zip(walks, symbols))
 
 
 def _run_replicates(
@@ -225,10 +225,12 @@ def _run_replicates(
     whole block, so a job fails with its source's coding error, or else its
     target's, charged to the block's first replicate, and is not scanned.
     """
+    if not indices:  # an empty share of a group smaller than the call's
+        return [([], None) for _ in jobs]
     seed = configs[0].seed
-    src_walks = {b: _walk(*source, seed, b, TAG_SOURCE_BOOT) for b in indices}
+    src_walks = [_walk(*source, seed, b, TAG_SOURCE_BOOT) for b in indices]
     tgt_walks = {
-        k: {b: _walk(*targets[k], seed, b, TAG_TARGET_BOOT) for b in indices}
+        k: [_walk(*targets[k], seed, b, TAG_TARGET_BOOT) for b in indices]
         for k in dict.fromkeys(k for _, k in jobs)
     }
     # (config index, None for the source or a target index) -> symbols or error
@@ -248,16 +250,17 @@ def _run_replicates(
 
     rows = [[] for _ in jobs]
     # a block whose every job failed draws no shuffle stream
-    for b in indices if live else ():
+    if live:
         items = [
-            (coded[c, None][b], [coded[c, jobs[j][1]][b] for j in js], configs[c])
+            (coded[c, None], [coded[c, jobs[j][1]] for j in js], configs[c])
             for c, js in live.items()
         ]
-        rng_shuffle = derive_replicate_rng(seed, b, TAG_SHUFFLE)
-        for js, picks in zip(live.values(), best_lags_shared(items, rng_shuffle)):
-            for j, (u_hat, profile) in zip(js, picks):
-                restarts = src_walks[b][1] + tgt_walks[jobs[j][1]][b][1]
-                rows[j].append((u_hat, max(profile.ete), restarts))
+        rngs = [derive_replicate_rng(seed, b, TAG_SHUFFLE) for b in indices]
+        for js, picks in zip(live.values(), _scan_block(items, rngs)):
+            for j, (lags, best_ete) in zip(js, picks):
+                walks = zip(src_walks, tgt_walks[jobs[j][1]])
+                restarts = [src[1] + tgt[1] for src, tgt in walks]
+                rows[j] = list(zip(lags.tolist(), best_ete.tolist(), restarts))
     return list(zip(rows, failures))
 
 

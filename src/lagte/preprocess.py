@@ -258,8 +258,10 @@ def normalize(
     A 2-D ``series`` is a block of equal-length series, one per row; each
     output row equals that row's own call bit for bit.
     ``InvalidArgumentError`` rejects a window that is neither a positive
-    integer nor ``"full"``; for ``nonlinear``, input containing NaN; and for
-    ``nonlinear`` and ``zscore``, a step that overflows or is invalid.
+    integer nor ``"full"``; for every method but ``none``, input containing
+    NaN, and for ``minmax`` also input containing ``±inf``; and for
+    ``nonlinear`` and ``zscore``, a step that overflows or is invalid, as
+    an infinite input value is.
 
     Returns
     -------
@@ -276,6 +278,15 @@ def normalize(
     if method == "none":
         return values.copy()
 
+    # NaN passes every check below: it sorts past the window padding and
+    # spreads with no invalid step.  So does inf in minmax, which has no
+    # errstate check; nonlinear and zscore fail on it as an invalid step.
+    finite = method == "minmax"
+    if not (np.isfinite(values) if finite else ~np.isnan(values)).all():
+        bad = "NaN or inf" if finite else "NaN"
+        raise InvalidArgumentError(
+            f"{method} normalization needs a series without {bad}"
+        )
     block = values.reshape(-1, values.shape[-1])
     out = np.zeros(block.shape)
     if method == "minmax":
@@ -286,9 +297,6 @@ def normalize(
         with np.errstate(over="ignore"):
             np.divide(block, top, out=out, where=top != 0.0)
         return out.reshape(values.shape)
-    if method == "nonlinear" and np.isnan(values).any():
-        # NaN would sort past the padding and corrupt the window quartiles
-        raise InvalidArgumentError("nonlinear normalization needs a series without NaN")
     # an overflow or invalid step would end in NaN, or in a silent 0, later
     try:
         with np.errstate(over="raise", invalid="raise"):

@@ -14,7 +14,8 @@ import check_golden  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
-@pytest.mark.parametrize("workload", ["window_grid", "corridor_paths"])
+# every workload, since each takes the block scan path in its own shape
+@pytest.mark.parametrize("workload", list(WORKLOADS))
 def test_seed_zero_matches_its_pins(workload):
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "check_golden.py"),

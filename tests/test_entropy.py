@@ -23,6 +23,7 @@ from lagte import (
 from lagte import entropy
 from lagte.entropy import (
     _as_codes,
+    _scan_block,
     _scan_draw,
     _te_from_counts,
     best_lags_shared,
@@ -509,6 +510,87 @@ class TestSharedDraw:
                 last_draw = rng_own.bit_generator.state
         if shapes:
             assert rng_shared.bit_generator.state == last_draw
+
+
+def scan_block_reference(items, seeds):
+    """Per item and target, ``(lags, best ETE)`` of every replicate, from one
+    ``best_lags_shared`` call per replicate on its rows of the blocks."""
+    out = [[([], []) for _ in targets] for _, targets, _ in items]
+    for r, seed in enumerate(seeds):
+        rows = [(src[r], [t[r] for t in tgts], config) for src, tgts, config in items]
+        picks = best_lags_shared(rows, np.random.default_rng(seed))
+        for per_item, item_picks in zip(out, picks):
+            for (lags, best), (u_hat, profile) in zip(per_item, item_picks):
+                lags.append(u_hat)
+                best.append(max(profile.ete))
+    return out
+
+
+def assert_block_equals_reference(items, seeds):
+    got = _scan_block(items, [np.random.default_rng(seed) for seed in seeds])
+    want = scan_block_reference(items, seeds)
+    assert len(got) == len(want)
+    for got_item, want_item in zip(got, want):
+        assert len(got_item) == len(want_item)
+        for (lags, best), (want_lags, want_best) in zip(got_item, want_item):
+            assert lags.tolist() == want_lags
+            assert best.tobytes() == np.array(want_best).tobytes()
+
+
+class TestScanBlock:
+    """A block scan gives every replicate what ``best_lags_shared`` of its
+    rows gives it from its own generator."""
+
+    @given(
+        data=st.data(),
+        reps=st.integers(min_value=1, max_value=7),
+        length=st.sampled_from([6, 9, 14]),
+        n_items=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**32 - 8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_replicate_best_lags(self, data, reps, length, n_items, seed):
+        # symbols 1-4 at random, so rows lack middle symbols, and lag and
+        # shuffle counts at random, so items often need several draws
+        def block():
+            rows = st.lists(
+                st.integers(min_value=1, max_value=4), min_size=length, max_size=length
+            )
+            return np.array([data.draw(rows) for _ in range(reps)])
+
+        items = []
+        for _ in range(n_items):
+            lag_max = data.draw(st.integers(min_value=1, max_value=length - 2))
+            lag_min = data.draw(st.integers(min_value=1, max_value=lag_max))
+            shuffles = data.draw(st.integers(min_value=1, max_value=3))
+            config = PipelineConfig(
+                lag_min=lag_min, lag_max=lag_max, shuffle_reps=shuffles
+            )
+            n_targets = data.draw(st.integers(min_value=1, max_value=3))
+            items.append((block(), [block() for _ in range(n_targets)], config))
+        assert_block_equals_reference(items, range(seed, seed + reps))
+
+    # 400 cells take one replicate per chunk, the full budget all six
+    @pytest.mark.parametrize("budget", [400, entropy._COUNT_CELLS])
+    def test_missing_middle_symbol_and_two_draw_shapes(self, monkeypatch, budget):
+        monkeypatch.setattr(entropy, "_COUNT_CELLS", budget)
+        rng = np.random.default_rng(5)
+        src, tgt = rng.integers(1, 4, (2, 6, 30))
+        tgt[2][tgt[2] == 2] = 3  # replicate 2's target codes to 2 symbols
+        assert _as_codes(tgt[2], "target").max() == 1
+        config = PipelineConfig(lag_max=6, shuffle_reps=3)
+        items = [
+            (src, [tgt, src[::-1]], config),
+            (tgt, [src], config.with_overrides(lag_min=3, lag_max=8)),
+            (src, [tgt], config.with_overrides(shuffle_reps=4)),  # another draw
+        ]
+        assert_block_equals_reference(items, range(6))
+
+    def test_rejects_blocks_that_are_not_integer(self):
+        config = PipelineConfig(lag_max=2, shuffle_reps=1)
+        block = np.ones((2, 8))
+        with pytest.raises(InvalidArgumentError, match="integer blocks"):
+            _scan_block([(block, [block], config)], [np.random.default_rng(0)] * 2)
 
 
 class TestProductCounts:

@@ -31,7 +31,7 @@ from lagte import (
     run_batch,
 )
 from lagte.core import FULL_WINDOW, TAG_SHUFFLE, TAG_SOURCE_BOOT, TAG_TARGET_BOOT
-from lagte import estimator
+from lagte import entropy, estimator
 from lagte.entropy import best_lags_shared
 from lagte.estimator import estimate_delays
 from conftest import fast_config
@@ -412,6 +412,31 @@ class TestSharedShuffleDraw:
         assert tags.count(TAG_SHUFFLE) == 4
         for job, outcome in zip(jobs, got):
             assert outcome == estimate_delay(*job, return_details=True)
+
+
+class TestBlockScan:
+    """A block's replicates are scanned by one entropy call per draw shape."""
+
+    def test_per_scan_helpers_do_not_run_per_replicate(self, sim_pair, monkeypatch):
+        calls = Counter()
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("_scan_item", "_product_plan", "_pick_lag"):
+            monkeypatch.setattr(entropy, name, counting(name, getattr(entropy, name)))
+        config = fast_config(boot_reps=12, shuffle_reps=3, lag_max=8)
+        jobs = [(*sim_pair, config), (*sim_pair, config.with_overrides(window=10))]
+        got = estimate_delays(jobs, workers=1)
+        assert calls["_scan_item"] == calls["_pick_lag"] == 0
+        # one plan for a chunk of replicates, here the whole block
+        assert calls["_product_plan"] == 1
+        monkeypatch.undo()
+        assert got == [estimate_delay(*job, return_details=True) for job in jobs]
 
 
 class TestOverflowingSeries:

@@ -283,6 +283,24 @@ class TestNormalize:
         with pytest.raises(InvalidArgumentError):
             normalize([1.0, float("nan"), 2.0], "nonlinear", w=2)
 
+    @pytest.mark.parametrize(
+        "method, values, bad",
+        [
+            ("zscore", [1.0, np.nan, 2.0], "NaN"),
+            ("minmax", [1.0, np.nan, 2.0], "NaN or inf"),
+            ("minmax", [1.0, np.inf, 2.0], "NaN or inf"),
+            ("minmax", [[1.0, 2.0, 3.0], [1.0, -np.inf, 2.0]], "NaN or inf"),
+        ],
+    )
+    def test_rejects_non_finite_input_before_any_arithmetic(self, method, values, bad):
+        # zscore and minmax once returned NaN rows, minmax with a warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InvalidArgumentError) as err:
+                normalize(values, method, w=2)
+        assert caught == []
+        assert str(err.value) == f"{method} normalization needs a series without {bad}"
+
     def test_rejects_unknown_method(self):
         with pytest.raises(InvalidArgumentError):
             normalize([1.0], "fourier")
