@@ -75,7 +75,7 @@ def _parse_max_gap(text: str) -> float:
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("pipeline configuration")
-    group.add_argument("--trend-order", type=int, help="polynomial trend order")
+    group.add_argument("--trend-order", type=int, help="moving-average trend order")
     group.add_argument(
         "--window",
         type=_parse_window,
@@ -138,6 +138,9 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
 
 def _resolve_threads(args: argparse.Namespace) -> Optional[int]:
     if args.threads is None:
+        # the CPUs this process may run on, not every CPU of the machine
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     if args.threads < 1:
         raise UsageError(f"--threads must be >= 1: got {args.threads}")

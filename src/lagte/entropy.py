@@ -34,17 +34,16 @@ cases of the same scan.
 The shuffle draw does not depend on the source either, only on the
 length, the lag count and the surrogate count: sources of one such shape
 (say, one series coded under several configs) share one draw of permuted
-indices, and counts of one shape share one TE pass.  ``best_lags_shared``
-is the checked front door for lag scans: it validates each item, groups
-the items into draws by shape, and gives every target exactly what
-``best_lag`` would give it from the same ``rng`` state.  ``best_lag`` is
-its one-item, one-target case.  The estimator scans a whole block of
-bootstrap replicates in one ``_scan_block`` call instead: it checks and
-codes the block's ``(replicates, length)`` symbol arrays once, draws
-each replicate from its own generator, plans and counts several
+indices, and counts of one shape share one TE pass.  ``best_lag``,
+``transfer_entropy`` and ``effective_transfer_entropy`` each check one
+pair and scan it alone.  The estimator scans a whole block of bootstrap
+replicates in one ``_scan_block`` call instead: it checks and codes the
+block's ``(replicates, length)`` symbol arrays once, groups the scans
+into draws by shape, draws each replicate from its own generator,
+restored to its first state for each shape, plans and counts several
 replicates at a time, and returns each replicate's winning lag and ETE
-as arrays, with the bytes that one ``best_lags_shared`` call per
-replicate gives.  Both run every scan through ``_scan_draw``.
+as arrays, with the bytes that ``best_lag`` of each of the replicate's
+pairs gives from that generator.  Every scan runs through ``_scan_draw``.
 
 A scan's largest arrays -- the planned source weights and target
 one-hots, the shuffled index rows, the gathered weights, the count
@@ -84,7 +83,6 @@ __all__ = [
     "transfer_entropy",
     "effective_transfer_entropy",
     "best_lag",
-    "best_lags_shared",
 ]
 
 # Plug-in TE is nonnegative in exact arithmetic; accumulated rounding can
@@ -202,32 +200,24 @@ def _dense_codes(block: np.ndarray) -> np.ndarray:
     return (np.cumsum(present, axis=1) - 1)[rows, shifted]
 
 
-def _scan_item(
-    source: SymbolsLike,
-    targets: Sequence[SymbolsLike],
-    lag_min: int,
-    lag_max: int,
+def _scan_pair(
+    source: SymbolsLike, target: SymbolsLike, lag_min: int, lag_max: int
 ) -> tuple:
-    """The validated ``(src, tgts, lags)`` scan of a source against its
-    targets over lags ``lag_min..lag_max``, as ``_scan_draw`` takes it.
+    """The validated ``(src, [tgt], lags)`` scan of ``source`` against
+    ``target`` over lags ``lag_min..lag_max``, as ``_scan_draw`` takes it.
 
     Every public scan goes through here.  ``lag_min`` is trusted to lie in
     ``1..lag_max``: a ``PipelineConfig`` guarantees it, and the one-lag
     scans pass ``lag_min == lag_max``.
     """
-    if len(targets) == 0:
-        raise InvalidArgumentError("need at least one target")
-    src = _as_codes(source, "source")
-    tgts = []
-    for target in targets:
-        tgts.append(_as_codes(target, "target"))
-        if src.size != tgts[-1].size:
-            raise InvalidArgumentError(
-                f"source and target lengths differ: {src.size} != {tgts[-1].size}"
-            )
+    src, tgt = _as_codes(source, "source"), _as_codes(target, "target")
+    if src.size != tgt.size:
+        raise InvalidArgumentError(
+            f"source and target lengths differ: {src.size} != {tgt.size}"
+        )
     # a lag needs series longer than lag + 1
     _check_int(lag_max, "lag", 1, src.size - 2)
-    return src, tgts, np.arange(lag_min, lag_max + 1)
+    return src, [tgt], np.arange(lag_min, lag_max + 1)
 
 
 def _scratch(name: str, shape: tuple, dtype=float) -> np.ndarray:
@@ -392,14 +382,15 @@ def _scan_draw(scans: Sequence[tuple], shuffles: int, rng, out=None) -> list:
     of its targets, from shared shuffle draws, counted by matrix products.
 
     ``scans`` holds ``(src, tgts, lags)`` items of dense codes, as
-    ``_scan_item`` validates them, with sources of one length and lag
-    ranges of one size.  ``rng`` is one generator for every scan, or a
-    list of one per scan; scans given one generator share its draw.
-    Returns, per scan, one ``(len(lags), shuffles + 1)`` array per target,
-    column 0 the source itself and the rest its surrogates, as views of
-    ``out`` (every target's in scan order) or of a fresh array.  Each scan
-    gets the bytes it would get alone from its generator in the state this
-    call found it in, and each generator advances as that one scan would.
+    ``_scan_pair`` and ``_scan_block`` check them, with sources of one
+    length and lag ranges of one size.  ``rng`` is one generator for every
+    scan, or a list of one per scan; scans given one generator share its
+    draw.  Returns, per scan, one ``(len(lags), shuffles + 1)`` array per
+    target, column 0 the source itself and the rest its surrogates, as
+    views of ``out`` (every target's in scan order) or of a fresh array.
+    Each scan gets the bytes it would get alone from its generator in the
+    state this call found it in, and each generator advances as that one
+    scan would.
 
     The lags are drawn in blocks of at most ``_COUNT_CELLS`` rows by
     ``max(L, count cells)`` (and at least one lag), each block in lag
@@ -514,7 +505,7 @@ def transfer_entropy(source: SymbolsLike, target: SymbolsLike, u: int) -> float:
     float
         Nonnegative transfer entropy in bits.
     """
-    ((scan,),) = _scan_draw([_scan_item(source, [target], u, u)], 0, None)
+    ((scan,),) = _scan_draw([_scan_pair(source, target, u, u)], 0, None)
     return float(scan[0, 0])
 
 
@@ -549,75 +540,23 @@ def effective_transfer_entropy(
     """
     _check_int(shuffles, "shuffles", 1)
     _check_rng(rng)
-    ((scan,),) = _scan_draw([_scan_item(source, [target], u, u)], shuffles, rng)
+    ((scan,),) = _scan_draw([_scan_pair(source, target, u, u)], shuffles, rng)
     te, shuffle_mean = float(scan[0, 0]), float(scan[0, 1:].mean())
     return te - shuffle_mean, te, shuffle_mean
 
 
-def _pick_lag(lags: np.ndarray, scan: np.ndarray) -> Tuple[int, LagTEProfile]:
-    te = scan[:, 0]
-    shuffle_mean = scan[:, 1:].mean(axis=1)
-    profile = LagTEProfile(
-        lags=tuple(lags.tolist()),
-        te=tuple(te.tolist()),
-        ete=tuple((te - shuffle_mean).tolist()),
-        shuffle_mean=tuple(shuffle_mean.tolist()),
-    )
-    return profile.best(), profile
-
-
-def best_lags_shared(
-    items: Sequence[Tuple[SymbolsLike, Sequence[SymbolsLike], PipelineConfig]],
-    rng: np.random.Generator,
-) -> list:
-    """Lag scans of several ``(source, targets, config)`` items.
-
-    Returns, per item, a list with ``best_lag(source, target, config,
-    rng)`` of each of its targets, called with ``rng`` in the state this
-    call found it in.  Every item is checked before anything is drawn: the
-    first item that fails its checks fails the call with its
-    ``LagTEError``, and ``rng`` is left untouched.
-
-    Items whose sources have one length and whose configs have one lag
-    count and one ``shuffle_reps`` share one shuffle draw, even when their
-    lag ranges start at different lags: the permutations are drawn once for
-    all of them, and each source's surrogates are shared among its
-    targets.  Each other shape draws its own, with ``rng`` restored to the
-    state this call found it in, and ``rng`` is left where the last draw
-    leaves it; with one shape, it advances as one ``best_lag`` call does.
-    An ``rng`` that is not a ``numpy.random.Generator`` fails the call
-    with ``InvalidArgumentError``.
-    """
-    _check_rng(rng)
-    out, draws = [], {}  # draws: (length, lag count, shuffles) -> item indices
-    for source, targets, config in items:
-        _check_config(config)
-        scan = _scan_item(source, targets, config.lag_min, config.lag_max)
-        shape = (scan[0].size, scan[2].size, config.shuffle_reps)
-        draws.setdefault(shape, []).append(len(out))
-        out.append(scan)
-    state = rng.bit_generator.state if len(draws) > 1 else None
-    for (*_, shuffles), members in draws.items():
-        if state is not None:
-            rng.bit_generator.state = state
-        scans = [out[i] for i in members]
-        tes = _scan_draw(scans, shuffles, rng)
-        for i, scan, per_target in zip(members, scans, tes):
-            out[i] = [_pick_lag(scan[2], te) for te in per_target]
-    return out
-
-
 def _scan_block(items: Sequence[tuple], rngs: Sequence[np.random.Generator]) -> list:
-    """Per replicate of a block, the lag and ETE ``best_lags_shared`` picks.
+    """Per replicate of a block, the lag and ETE ``best_lag`` picks.
 
     ``items`` holds ``(source, targets, config)`` items of ``(R, L)``
     integer blocks, row ``r`` from replicate ``r``, and ``rngs[r]`` is
     replicate ``r``'s shuffle generator.  Returns, per item, ``(lags,
-    best_ete)`` arrays per target: what ``best_lags_shared`` of every
-    item's row ``r`` gives with ``rngs[r]``.  The blocks are checked and
-    coded once; the configs are trusted.  Items of one draw shape are
-    counted a chunk of replicates at a time, as many as ``_COUNT_CELLS``
-    count and plan cells hold, each generator restored to its first state.
+    best_ete)`` arrays per target: what ``best_lag`` of the source's and
+    target's row ``r`` gives with ``rngs[r]`` as it was.  The blocks are
+    checked and coded once; the configs are trusted.  Items of one draw
+    shape share a draw, counted a chunk of replicates at a time, as many
+    as ``_COUNT_CELLS`` count and plan cells hold; each shape starts every
+    generator from its first state.
     """
     blocks = np.stack([b for src, tgts, _ in items for b in (src, *tgts)])
     size = len(rngs)
@@ -680,13 +619,24 @@ def best_lag(
     """Scan lags ``config.lag_min..config.lag_max`` and pick the ETE argmax.
 
     Each lag draws its own fresh batch of ``config.shuffle_reps`` source
-    permutations from ``rng``.  Ties resolve to the smallest lag.  This is
-    the one-item, one-target case of ``best_lags_shared``.
+    permutations from ``rng``.  Ties resolve to the smallest lag.  The
+    arguments are checked before anything is drawn: a call that fails
+    leaves ``rng`` untouched.
 
     Returns
     -------
     (u_hat, profile) : tuple
         The winning lag and the full per-lag profile behind the choice.
     """
-    ((pick,),) = best_lags_shared([(source, [target], config)], rng)
-    return pick
+    _check_rng(rng)
+    _check_config(config)
+    scan = _scan_pair(source, target, config.lag_min, config.lag_max)
+    ((te_scan,),) = _scan_draw([scan], config.shuffle_reps, rng)
+    te, shuffle_mean = te_scan[:, 0], te_scan[:, 1:].mean(axis=1)
+    profile = LagTEProfile(
+        lags=tuple(scan[2].tolist()),
+        te=tuple(te.tolist()),
+        ete=tuple((te - shuffle_mean).tolist()),
+        shuffle_mean=tuple(shuffle_mean.tolist()),
+    )
+    return profile.best(), profile

@@ -26,8 +26,8 @@ the whole block in one ``entropy._scan_block`` call, one item per config
 with its targets' blocks, each replicate on its own shuffle stream, and
 keeps each replicate's winning lag and ETE.  ``entropy`` alone decides
 which configs share a shuffle draw (those of equal lag and shuffle
-counts) and how many replicates it counts at once; every config and
-replicate still gets the bytes of its own ``best_lags_shared`` scan.
+counts) and how many replicates it counts at once; every config,
+target and replicate still gets the bytes of its own ``best_lag`` scan.
 A replicate has one step that can fail, coding: a series whose walks
 could overflow fails its fit, and a checked job's scans are valid, so a
 job fails only when its source's or target's walks fail to code under

@@ -1,11 +1,13 @@
 """Command-line interface: flags, exit codes, provenance, reproducibility."""
 
+import argparse
 import hashlib
 import json
+import os
 
 import pytest
 
-from lagte.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
+from lagte.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, _resolve_threads, main
 from conftest import road_csv_text
 
 FAST = ["-B", "3", "--shuffle-reps", "3", "--lag-max", "8", "--window", "10"]
@@ -109,6 +111,25 @@ class TestSeedResolution:
     def test_bad_env_seed_is_usage_error(self, monkeypatch, capsys):
         monkeypatch.setenv("LAGTE_SEED", "lots")
         assert main(["simulate", "--u0", "10"] + FAST) == EXIT_USAGE
+
+
+class TestDefaultThreads:
+    """Without ``--threads`` the worker count is the number of CPUs this
+    process may run on, not the machine's CPU count."""
+
+    def test_follows_cpu_affinity(self, capsys, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert _resolve_threads(argparse.Namespace(threads=None)) == 1
+        assert main(["simulate", "--u0", "10"] + FAST) == EXIT_OK
+        assert "threads: 1\n" in capsys.readouterr().out
+
+    def test_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert _resolve_threads(argparse.Namespace(threads=None)) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _resolve_threads(argparse.Namespace(threads=None)) == 1
 
 
 class TestSimulateOutputs:

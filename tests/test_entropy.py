@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from lagte import (
     InvalidArgumentError,
-    LagTEError,
     PipelineConfig,
     best_lag,
     effective_transfer_entropy,
@@ -26,7 +25,6 @@ from lagte.entropy import (
     _scan_block,
     _scan_draw,
     _te_from_counts,
-    best_lags_shared,
 )
 from conftest import fast_config
 
@@ -281,34 +279,33 @@ class TestBestLags:
     @given(
         data=st.data(),
         length=st.integers(min_value=4, max_value=60),
-        n_targets=st.integers(min_value=1, max_value=4),
         shuffles=st.integers(min_value=1, max_value=6),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=100, deadline=None)
-    def test_equals_per_target_best_lag(self, data, length, n_targets, shuffles, seed):
+    def test_equals_per_lag_reference(self, data, length, shuffles, seed):
         symbols = st.lists(
             st.integers(min_value=1, max_value=4), min_size=length, max_size=length
         )
-        source = data.draw(symbols)
-        targets = [data.draw(symbols) for _ in range(n_targets)]
+        source, target = data.draw(symbols), data.draw(symbols)
         lag_max = data.draw(st.integers(min_value=1, max_value=length - 2))
         lag_min = data.draw(st.integers(min_value=1, max_value=lag_max))
         config = PipelineConfig(
             lag_min=lag_min, lag_max=lag_max, shuffle_reps=shuffles
         )
-        rng_shared = np.random.default_rng(seed)
-        (picks,) = best_lags_shared([(source, targets, config)], rng_shared)
-        assert len(picks) == n_targets
-        for target, (got_lag, got) in zip(targets, picks):
-            rng_own = np.random.default_rng(seed)
-            want_lag, want = best_lag(source, target, config, rng_own)
-            assert got_lag == want_lag
-            for field in ("lags", "te", "ete", "shuffle_mean"):
-                got_bytes = np.array(getattr(got, field)).tobytes()
-                assert got_bytes == np.array(getattr(want, field)).tobytes()
-            # the shared scan drew exactly what one best_lag call draws
-            assert rng_shared.bit_generator.state == rng_own.bit_generator.state
+        rng_lag, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        u_hat, profile = best_lag(source, target, config, rng_lag)
+        lags = np.arange(lag_min, lag_max + 1)
+        src, tgt = _as_codes(source, "source"), _as_codes(target, "target")
+        want = scan_reference(src, tgt, lags, shuffles, rng_ref)
+        te, shuffle_mean = want[:, 0], want[:, 1:].mean(axis=1)
+        assert profile.lags == tuple(lags.tolist())
+        assert np.array(profile.te).tobytes() == te.tobytes()
+        assert np.array(profile.shuffle_mean).tobytes() == shuffle_mean.tobytes()
+        assert np.array(profile.ete).tobytes() == (te - shuffle_mean).tobytes()
+        assert u_hat == lags[np.argmax(te - shuffle_mean)]
+        # best_lag drew exactly what the per-lag loop draws
+        assert rng_lag.bit_generator.state == rng_ref.bit_generator.state
 
     @given(
         data=st.data(),
@@ -334,8 +331,7 @@ class TestBestLags:
             relabeled = dict(series)
             relabeled[side] = np.array([relabel[s - 1] for s in series[side]])
             rng = np.random.default_rng(seed)
-            item = (relabeled["source"], [relabeled["target"]], config)
-            return best_lags_shared([item], rng)[0][0]
+            return best_lag(relabeled["source"], relabeled["target"], config, rng)
 
         want_lag, want = scan(alphabet)
         # an order-preserving relabeling gives the same codes, hence the same bytes
@@ -352,21 +348,14 @@ class TestBestLags:
         source = np.ones(20, dtype=int)
         config = fast_config(lag_max=5)
         rng = np.random.default_rng(0)
-        for targets, message in (
-            ([], "need at least one target"),
-            ([source, np.ones(19, dtype=int)], "lengths differ: 20 != 19"),
-        ):
-            with pytest.raises(InvalidArgumentError, match=message):
-                best_lags_shared([(source, targets, config)], rng)
-        # best_lag raises what its one-item call raises
         with pytest.raises(InvalidArgumentError, match="lengths differ: 20 != 19"):
             best_lag(source, np.ones(19, dtype=int), config, rng)
 
 
 def _shared_draw_items(data, length, n_items, shuffles, max_targets=3):
-    """``best_lags_shared`` items of one lag count: random alphabets of 1
-    to 4 symbols, 1 to ``max_targets`` targets each, lag ranges starting
-    anywhere."""
+    """``(source, targets, config)`` scans of one lag count: random
+    alphabets of 1 to 4 symbols, 1 to ``max_targets`` targets each, lag
+    ranges starting anywhere."""
     n_lags = data.draw(st.integers(min_value=1, max_value=length - 2))
 
     def series():
@@ -388,31 +377,6 @@ def _shared_draw_items(data, length, n_items, shuffles, max_targets=3):
         n_targets = data.draw(st.integers(min_value=1, max_value=max_targets))
         items.append((series(), [series() for _ in range(n_targets)], config))
     return items
-
-
-def assert_same_outcome(got, want):
-    """Two ``best_lags_shared`` entries hold the same lags and profile bytes
-    per target."""
-    assert len(got) == len(want)
-    for (got_lag, got_p), (want_lag, want_p) in zip(got, want):
-        assert got_lag == want_lag
-        for field in ("lags", "te", "ete", "shuffle_mean"):
-            got_bytes = np.array(getattr(got_p, field)).tobytes()
-            assert got_bytes == np.array(getattr(want_p, field)).tobytes()
-
-
-def assert_fails_as_first_broken(items, broken, seed):
-    """``best_lags_shared`` of ``items`` raises the error of the first item
-    in ``broken`` and leaves its ``rng`` untouched."""
-    rng = np.random.default_rng(seed)
-    state = rng.bit_generator.state
-    with pytest.raises(LagTEError) as got:
-        best_lags_shared(items, rng)
-    assert rng.bit_generator.state == state
-    with pytest.raises(LagTEError) as want:
-        best_lags_shared([items[min(broken)]], np.random.default_rng(seed))
-    assert type(got.value) is type(want.value)
-    assert str(got.value) == str(want.value)
 
 
 class TestSharedDraw:
@@ -446,81 +410,17 @@ class TestSharedDraw:
                 assert scan.tobytes() == want.tobytes()
                 assert rng_shared.bit_generator.state == rng_own.bit_generator.state
 
-    @given(
-        data=st.data(),
-        length=st.integers(min_value=4, max_value=40),
-        n_items=st.integers(min_value=1, max_value=4),
-        shuffles=st.integers(min_value=1, max_value=5),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_equals_per_item_best_lags(self, data, length, n_items, shuffles, seed):
-        items = _shared_draw_items(data, length, n_items, shuffles)
-        # an item whose last target is one sample short fails on its own
-        broken = data.draw(st.sets(st.integers(min_value=0, max_value=n_items - 1)))
-        for i in broken:
-            items[i][1].append(items[i][1][-1][:-1])
-        if broken:
-            assert_fails_as_first_broken(items, broken, seed)
-        good = [item for i, item in enumerate(items) if i not in broken]
-        rng_shared = np.random.default_rng(seed)
-        got = best_lags_shared(good, rng_shared)
-        assert len(got) == len(good)
-        for item, outcome in zip(good, got):
-            rng_own = np.random.default_rng(seed)
-            (want,) = best_lags_shared([item], rng_own)
-            assert_same_outcome(outcome, want)
-            assert rng_shared.bit_generator.state == rng_own.bit_generator.state
-
-    @given(
-        data=st.data(),
-        n_items=st.integers(min_value=1, max_value=5),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_items_of_any_shape_equal_their_own_call(self, data, n_items, seed):
-        # each item draws its own length, lag count and shuffle count, so
-        # one call mixes several draws; some items fail their checks, and
-        # then so does the call
-        items, broken = [], set()
-        for i in range(n_items):
-            length = data.draw(st.sampled_from([6, 9, 14]))
-            shuffles = data.draw(st.integers(min_value=1, max_value=3))
-            (item,) = _shared_draw_items(data, length, 1, shuffles)
-            if data.draw(st.booleans()):
-                item[1].append(item[1][-1][:-1])
-                broken.add(i)
-            items.append(item)
-        if broken:
-            assert_fails_as_first_broken(items, broken, seed)
-        good = [item for i, item in enumerate(items) if i not in broken]
-        rng_shared = np.random.default_rng(seed)
-        got = best_lags_shared(good, rng_shared)
-        assert len(got) == len(good)
-        last_draw = None  # the rng state after the last shape's own call
-        shapes = []
-        for item, outcome in zip(good, got):
-            rng_own = np.random.default_rng(seed)
-            (want,) = best_lags_shared([item], rng_own)
-            assert_same_outcome(outcome, want)
-            source, _, config = item
-            shape = (len(source), config.lag_max - config.lag_min, config.shuffle_reps)
-            if shape not in shapes:
-                shapes.append(shape)
-                last_draw = rng_own.bit_generator.state
-        if shapes:
-            assert rng_shared.bit_generator.state == last_draw
-
 
 def scan_block_reference(items, seeds):
     """Per item and target, ``(lags, best ETE)`` of every replicate, from one
-    ``best_lags_shared`` call per replicate on its rows of the blocks."""
+    ``best_lag`` call per target and replicate on its rows of the blocks,
+    each with a fresh generator of the replicate's seed."""
     out = [[([], []) for _ in targets] for _, targets, _ in items]
-    for r, seed in enumerate(seeds):
-        rows = [(src[r], [t[r] for t in tgts], config) for src, tgts, config in items]
-        picks = best_lags_shared(rows, np.random.default_rng(seed))
-        for per_item, item_picks in zip(out, picks):
-            for (lags, best), (u_hat, profile) in zip(per_item, item_picks):
+    for (src, tgts, config), per_item in zip(items, out):
+        for tgt, (lags, best) in zip(tgts, per_item):
+            for r, seed in enumerate(seeds):
+                rng = np.random.default_rng(seed)
+                u_hat, profile = best_lag(src[r], tgt[r], config, rng)
                 lags.append(u_hat)
                 best.append(max(profile.ete))
     return out
@@ -538,8 +438,8 @@ def assert_block_equals_reference(items, seeds):
 
 
 class TestScanBlock:
-    """A block scan gives every replicate what ``best_lags_shared`` of its
-    rows gives it from its own generator."""
+    """A block scan gives every replicate and target what ``best_lag`` of
+    its rows gives it from the replicate's own generator."""
 
     @given(
         data=st.data(),
@@ -818,8 +718,6 @@ class TestArgumentChecks:
         config = PipelineConfig(lag_max=5, shuffle_reps=2)
         with pytest.raises(InvalidArgumentError, match="Generator"):
             best_lag(self.SERIES, self.SERIES, config, rng)
-        with pytest.raises(InvalidArgumentError, match="Generator"):
-            best_lags_shared([(self.SERIES, [self.SERIES], config)], rng)
 
     def test_shannon_entropy_of_strings(self):
         with pytest.raises(InvalidArgumentError, match="numbers"):
@@ -857,20 +755,15 @@ class TestArgumentChecks:
         )
 
     def test_bad_symbols_fail_their_item_alone(self):
-        # the call raises the bad item's error and draws nothing; the good
-        # items get their own bytes without it
+        # a bad symbol on either side raises before anything is drawn
         config = PipelineConfig(lag_max=3, shuffle_reps=2)
-        good = (self.SERIES, [self.SERIES], config)
-        items = [good, (self.SERIES, [self.BAD_SYMBOLS["nan"]], config), good]
         rng = np.random.default_rng(4)
         state = rng.bit_generator.state
-        with pytest.raises(InvalidArgumentError, match="integer symbols"):
-            best_lags_shared(items, rng)
-        assert rng.bit_generator.state == state
-        got = best_lags_shared([good, good], np.random.default_rng(4))
-        (want,) = best_lags_shared([good], np.random.default_rng(4))
-        assert_same_outcome(got[0], want)
-        assert_same_outcome(got[1], want)
+        bad = self.BAD_SYMBOLS["nan"]
+        for pair in ((self.SERIES, bad), (bad, self.SERIES)):
+            with pytest.raises(InvalidArgumentError, match="integer symbols"):
+                best_lag(*pair, config, rng)
+            assert rng.bit_generator.state == state
 
 
 def coupled_pair(u0, length, rng, drive=0.3, keep=0.3):

@@ -32,7 +32,7 @@ from lagte import (
 )
 from lagte.core import FULL_WINDOW, TAG_SHUFFLE, TAG_SOURCE_BOOT, TAG_TARGET_BOOT
 from lagte import entropy, estimator
-from lagte.entropy import best_lags_shared
+from lagte.entropy import best_lag
 from lagte.estimator import estimate_delays
 from conftest import fast_config
 
@@ -267,12 +267,9 @@ def replicates_reference(source, targets, configs, jobs, indices):
                     failed[j] = (b, tgt)
                 else:
                     coded[j] = tgt
-            if not coded:
-                continue
-            rng = estimator.derive_replicate_rng(config.seed, b, TAG_SHUFFLE)
-            item = (src[0], [sym for sym, _ in coded.values()], config)
-            (picks,) = best_lags_shared([item], rng)
-            for (j, (_, restarts)), (u_hat, profile) in zip(coded.items(), picks):
+            for j, (sym, restarts) in coded.items():
+                rng = estimator.derive_replicate_rng(config.seed, b, TAG_SHUFFLE)
+                u_hat, profile = best_lag(src[0], sym, config, rng)
                 rows[j].append((u_hat, max(profile.ete), src[1] + restarts))
     return list(zip(rows, failed))
 
@@ -427,12 +424,17 @@ class TestBlockScan:
 
             return wrapper
 
-        for name in ("_scan_item", "_product_plan", "_pick_lag"):
-            monkeypatch.setattr(entropy, name, counting(name, getattr(entropy, name)))
+        for module, name in (
+            (entropy, "_scan_pair"),
+            (entropy, "_product_plan"),
+            (entropy, "best_lag"),
+            (estimator, "best_lag"),
+        ):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         config = fast_config(boot_reps=12, shuffle_reps=3, lag_max=8)
         jobs = [(*sim_pair, config), (*sim_pair, config.with_overrides(window=10))]
         got = estimate_delays(jobs, workers=1)
-        assert calls["_scan_item"] == calls["_pick_lag"] == 0
+        assert calls["_scan_pair"] == calls["best_lag"] == 0
         # one plan for a chunk of replicates, here the whole block
         assert calls["_product_plan"] == 1
         monkeypatch.undo()
